@@ -570,15 +570,7 @@ func buildTrace(tracePath string, requests int, intensity float64, seed int64) (
 		defer f.Close()
 		return diskarray.ReadTrace(f)
 	}
-	cfg := diskarray.DefaultGenConfig()
-	cfg.NumRequests = requests
-	cfg.MeanInterarrival /= intensity
-	cfg.Seed = seed
-	cfg.DiurnalProfile = diskarray.DefaultDiurnalProfile()
-	duration := float64(cfg.NumRequests) * cfg.MeanInterarrival
-	cfg.PhaseSeconds = duration / 12
-	cfg.PhaseRotate = 0.10
-	return diskarray.GenerateTrace(cfg)
+	return experiment.SyntheticTrace(requests, intensity, seed)
 }
 
 // runReplay is the -replay-decisions mode: rebuild the recorded run's

@@ -32,14 +32,119 @@ import (
 // logg is the command-wide leveled logger (level set from -quiet/-v).
 var logg = telemetry.NewLogger("experiments", nil, telemetry.LogInfo)
 
-// recordSweep writes one sweep condition's manifest into the run store,
-// stamping wall time. No-op when the store is nil (-runs-dir unset).
-func recordSweep(store *runstore.Store, name string, cfg experiment.SweepConfig,
-	res *experiment.SweepResult, start time.Time, pc runstore.PerfCapture) {
-	if store == nil {
-		return
+// driver holds what every sweep condition shares: the run store, the ops
+// server, and the execution options the flags set.
+type driver struct {
+	store  *runstore.Store
+	srv    *opsserver.Server
+	opts   experiment.SweepOptions
+	resume bool
+	// failed counts the sweep cells that failed after every attempt.
+	failed int
+}
+
+// sweepKind binds the experiment calls of one sweep type, so array and
+// fleet sweep conditions run and record through one path.
+type sweepKind[C, R any] struct {
+	opts     func(*C) *experiment.SweepOptions
+	keys     func(C) []string
+	id       func(string, C) (string, error)
+	run      func(C) (*R, error)
+	manifest func(string, C, *R) (*runstore.Manifest, error)
+	cells    func(*R) []recordCell
+}
+
+// recordCell is one finished cell as recording sees it.
+type recordCell struct {
+	key    string
+	failed bool
+	sim    float64 // virtual seconds simulated
+	events uint64
+	log    *telemetry.DecisionLog
+}
+
+var arraySweep = sweepKind[experiment.SweepConfig, experiment.SweepResult]{
+	opts:     func(c *experiment.SweepConfig) *experiment.SweepOptions { return &c.SweepOptions },
+	keys:     experiment.SweepConfig.CellKeys,
+	id:       experiment.SweepManifestID,
+	run:      experiment.RunSweep,
+	manifest: experiment.SweepManifest,
+	cells: func(r *experiment.SweepResult) []recordCell {
+		out := make([]recordCell, len(r.Cells))
+		for i, c := range r.Cells {
+			out[i] = recordCell{key: c.Key(), failed: c.Status == experiment.CellFailed, log: c.Decisions}
+			if c.Result != nil {
+				out[i].sim, out[i].events = c.Result.Duration, c.Result.EventsFired
+			}
+		}
+		return out
+	},
+}
+
+var fleetSweep = sweepKind[experiment.FleetSweepConfig, experiment.FleetSweepResult]{
+	opts:     func(c *experiment.FleetSweepConfig) *experiment.SweepOptions { return &c.SweepOptions },
+	keys:     experiment.FleetSweepConfig.CellKeys,
+	id:       experiment.FleetManifestID,
+	run:      experiment.RunFleetSweep,
+	manifest: experiment.FleetManifest,
+	cells: func(r *experiment.FleetSweepResult) []recordCell {
+		out := make([]recordCell, len(r.Cells))
+		for i, c := range r.Cells {
+			out[i] = recordCell{key: c.Key(), failed: c.Status == experiment.CellFailed, log: c.Decisions}
+			if c.Result != nil {
+				out[i].sim, out[i].events = c.Result.Duration, c.Result.EventsFired
+			}
+		}
+		return out
+	},
+}
+
+// runCondition runs one sweep condition and records it. Under -resume it
+// skips — returning nil — a condition the store already holds with the same
+// name and config digest and a status other than failed. Otherwise it
+// applies the execution flags, attaches a fresh ops-plane tracker, runs the
+// sweep, and writes the manifest and each traced cell's decision log into
+// the run store. It returns the result and the condition's wall time.
+func runCondition[C, R any](d *driver, k sweepKind[C, R], name string, cfg C) (*R, time.Duration) {
+	if d.resume {
+		if id, err := k.id(name, cfg); err == nil {
+			m, err := runstore.ReadManifest(filepath.Join(d.store.Root(), id))
+			if err == nil && m.Status != string(experiment.CellFailed) {
+				logg.Infof("resume: skipping %s (already recorded as %s)", name, id)
+				return nil, 0
+			}
+		}
 	}
-	m, err := experiment.SweepManifest(name, cfg, res)
+	opts := k.opts(&cfg)
+	*opts = d.opts
+	if d.srv != nil {
+		par := opts.Parallelism
+		if par <= 0 {
+			par = runtime.NumCPU()
+		}
+		opts.Track = telemetry.NewSweepTracker(k.keys(cfg), par)
+		d.srv.SetSweep(opts.Track)
+		d.srv.SetRun(name, nil, nil)
+	}
+	start := time.Now()
+	pc := runstore.StartPerf()
+	res, err := k.run(cfg)
+	if res == nil {
+		logg.Fatal(err)
+	}
+	cells := k.cells(res)
+	if err != nil {
+		logg.Errorf("sweep %s: %v", name, err)
+		for _, c := range cells {
+			if c.failed {
+				d.failed++
+			}
+		}
+	}
+	if d.store == nil {
+		return res, time.Since(start)
+	}
+	m, err := k.manifest(name, cfg, res)
 	if err != nil {
 		logg.Fatal(err)
 	}
@@ -49,91 +154,31 @@ func recordSweep(store *runstore.Store, name string, cfg experiment.SweepConfig,
 	// and events over the sweep's wall-clock and runtime deltas.
 	var simSeconds float64
 	var events uint64
-	for _, c := range res.Cells {
-		if c.Result != nil {
-			simSeconds += c.Result.Duration
-			events += c.Result.EventsFired
-		}
+	for _, c := range cells {
+		simSeconds += c.sim
+		events += c.events
 	}
 	run := pc.Sample(simSeconds, events, false)
 	if m.Perf == nil {
 		m.Perf = &runstore.Perf{}
 	}
 	m.Perf.Run = &run
-	dir, err := store.Write(m)
+	dir, err := d.store.Write(m)
 	if err != nil {
 		logg.Fatal(err)
 	}
-	writeDecisionLogs(dir, res)
-	logg.Infof("run %s recorded in %s", name, dir)
-}
-
-// writeDecisionLogs persists each traced cell's decision log next to the
-// sweep manifest as decisions-<policy>[-<raid>]-<disks>.ndjson. No-op when
-// the sweep ran without TraceDecisions.
-func writeDecisionLogs(dir string, res *experiment.SweepResult) {
-	for _, cell := range res.Cells {
-		if cell.Decisions == nil {
+	// Each traced cell's log lands next to the manifest as
+	// decisions-<key with dots as dashes>.ndjson, e.g.
+	// decisions-read-raid5-6.ndjson or decisions-fleet-read-round-robin-2.ndjson.
+	for _, c := range cells {
+		if c.log == nil {
 			continue
 		}
-		name := fmt.Sprintf("decisions-%s-%d.ndjson", cell.Policy, cell.Disks)
-		if cell.RAID != "" {
-			name = fmt.Sprintf("decisions-%s-%s-%d.ndjson", cell.Policy, cell.RAID, cell.Disks)
-		}
-		f, err := atomicio.Create(filepath.Join(dir, name))
+		f, err := atomicio.Create(filepath.Join(dir, "decisions-"+strings.ReplaceAll(c.key, ".", "-")+".ndjson"))
 		if err != nil {
 			logg.Fatal(err)
 		}
-		if err := cell.Decisions.WriteNDJSON(f); err != nil {
-			f.Close()
-			logg.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			logg.Fatal(err)
-		}
-	}
-}
-
-// recordFleetSweep writes one fleet sweep condition's manifest into the run
-// store, mirroring recordSweep.
-func recordFleetSweep(store *runstore.Store, name string, cfg experiment.FleetSweepConfig,
-	res *experiment.FleetSweepResult, start time.Time, pc runstore.PerfCapture) {
-	if store == nil {
-		return
-	}
-	m, err := experiment.FleetManifest(name, cfg, res)
-	if err != nil {
-		logg.Fatal(err)
-	}
-	m.CreatedAt = start.UTC().Format(time.RFC3339)
-	m.WallSeconds = time.Since(start).Seconds()
-	var simSeconds float64
-	var events uint64
-	for _, c := range res.Cells {
-		if c.Result != nil {
-			simSeconds += c.Result.Duration
-			events += c.Result.EventsFired
-		}
-	}
-	run := pc.Sample(simSeconds, events, false)
-	if m.Perf == nil {
-		m.Perf = &runstore.Perf{}
-	}
-	m.Perf.Run = &run
-	dir, err := store.Write(m)
-	if err != nil {
-		logg.Fatal(err)
-	}
-	for _, cell := range res.Cells {
-		if cell.Decisions == nil {
-			continue
-		}
-		name := fmt.Sprintf("decisions-fleet-%s-%s-%d.ndjson", cell.Policy, cell.Routing, cell.Arrays)
-		f, err := atomicio.Create(filepath.Join(dir, name))
-		if err != nil {
-			logg.Fatal(err)
-		}
-		if err := cell.Decisions.WriteNDJSON(f); err != nil {
+		if err := c.log.WriteNDJSON(f); err != nil {
 			f.Close()
 			logg.Fatal(err)
 		}
@@ -142,43 +187,7 @@ func recordFleetSweep(store *runstore.Store, name string, cfg experiment.FleetSw
 		}
 	}
 	logg.Infof("run %s recorded in %s", name, dir)
-}
-
-// skipRecordedFleet mirrors skipRecorded for fleet sweep conditions.
-func skipRecordedFleet(store *runstore.Store, name string, cfg experiment.FleetSweepConfig) bool {
-	if store == nil {
-		return false
-	}
-	id, err := experiment.FleetManifestID(name, cfg)
-	if err != nil {
-		return false
-	}
-	m, err := runstore.ReadManifest(filepath.Join(store.Root(), id))
-	if err != nil || m.Status == string(experiment.CellFailed) {
-		return false
-	}
-	logg.Infof("resume: skipping %s (already recorded as %s)", name, id)
-	return true
-}
-
-// skipRecorded reports whether the store already holds a manifest for this
-// sweep condition — same name, same config digest — whose status is not
-// "failed". A -resume driver uses it to skip work a previous (possibly
-// killed) invocation already completed.
-func skipRecorded(store *runstore.Store, name string, cfg experiment.SweepConfig) bool {
-	if store == nil {
-		return false
-	}
-	id, err := experiment.SweepManifestID(name, cfg)
-	if err != nil {
-		return false
-	}
-	m, err := runstore.ReadManifest(filepath.Join(store.Root(), id))
-	if err != nil || m.Status == string(experiment.CellFailed) {
-		return false
-	}
-	logg.Infof("resume: skipping %s (already recorded as %s)", name, id)
-	return true
+	return res, time.Since(start)
 }
 
 // validFigures is the closed set -fig accepts; "all" runs everything except
@@ -201,7 +210,7 @@ func run() int {
 		fig      = flag.String("fig", "all", "figure to regenerate: "+strings.Join(validFigures, " | "))
 		scale    = flag.Float64("scale", 0.05, "trace scale for Figure 7 sweeps (1 = full day)")
 		full     = flag.Bool("full", false, "shorthand for -scale 1 (the full 1.48M-request day)")
-		heavy    = flag.Bool("heavy", false, "run Figure 7 under the heavy workload condition")
+		heavy    = flag.Bool("heavy", false, "run every sweep under the heavy workload condition")
 		both     = flag.Bool("both", false, "run Figure 7 under both workload conditions")
 		csvPath  = flag.String("csv", "", "also write machine-readable output to this file")
 		steps    = flag.Int("steps", 13, "samples per axis for the function figures")
@@ -313,21 +322,18 @@ func run() int {
 		}
 		defer srv.Close()
 	}
-	// runSweep attaches a fresh tracker (when the ops plane is up) and runs
-	// the condition.
-	runSweep := func(name string, cfg *experiment.SweepConfig) (*experiment.SweepResult, error) {
-		cfg.Parallelism = *workers
-		if srv != nil {
-			par := cfg.Parallelism
-			if par <= 0 {
-				par = runtime.NumCPU()
-			}
-			track := telemetry.NewSweepTracker(cfg.CellKeys(), par)
-			cfg.Track = track
-			srv.SetSweep(track)
-			srv.SetRun(name, nil, nil)
-		}
-		return experiment.RunSweep(*cfg)
+	d := &driver{
+		store:  store,
+		srv:    srv,
+		opts:   experiment.SweepOptions{Parallelism: *workers, CellAttempts: 1 + *retries, Progress: prog, TraceDecisions: *traceDec},
+		resume: *resume,
+	}
+	// -heavy picks the workload condition every sweep runs under; -both
+	// runs Figure 7 under both.
+	intensity := map[string]float64{"light": experiment.LightIntensity, "heavy": experiment.HeavyIntensity}
+	cond := "light"
+	if *heavy {
+		cond = "heavy"
 	}
 
 	var csvW io.Writer
@@ -343,7 +349,6 @@ func run() int {
 	}
 
 	model := reliability.NewModel()
-	failedCells := 0
 	want := func(names ...string) bool {
 		if *fig == "all" {
 			return true
@@ -356,53 +361,28 @@ func run() int {
 		return false
 	}
 
-	if want("2b") {
-		pts, err := experiment.Fig2bTemperatureFunction(model, *steps)
+	// The reliability-function figures; csvX names the CSV x column of the
+	// figures that have a machine-readable form.
+	for _, f := range []struct {
+		id, xLabel, csvX, title string
+		sample                  func(*reliability.Model, int) ([]experiment.FunctionPoint, error)
+	}{
+		{"2b", "temp_C", "temp_c", "Figure 2b — temperature-reliability function (3-year-old drives)", experiment.Fig2bTemperatureFunction},
+		{"3b", "util", "utilization", "Figure 3b — utilization-reliability function (4-year-old drives)", experiment.Fig3bUtilizationFunction},
+		{"4a", "startstops/day", "", "Figure 4a — IDEMA spindle start/stop failure-rate adder", experiment.Fig4aIDEMAAdder},
+		{"4b", "transitions/day", "transitions_per_day", "Figure 4b — frequency-reliability function (Eq. 3, ½ × Figure 4a)", experiment.Fig4bFrequencyFunction},
+	} {
+		if !want(f.id) {
+			continue
+		}
+		pts, err := f.sample(model, *steps)
 		if err != nil {
 			logg.Fatal(err)
 		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "temp_C",
-			"Figure 2b — temperature-reliability function (3-year-old drives)")
+		experiment.RenderFunctionTable(os.Stdout, pts, f.xLabel, f.title)
 		fmt.Println()
-		if csvW != nil {
-			if err := experiment.WriteFunctionCSV(csvW, pts, "temp_c"); err != nil {
-				logg.Fatal(err)
-			}
-		}
-	}
-	if want("3b") {
-		pts, err := experiment.Fig3bUtilizationFunction(model, *steps)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "util",
-			"Figure 3b — utilization-reliability function (4-year-old drives)")
-		fmt.Println()
-		if csvW != nil {
-			if err := experiment.WriteFunctionCSV(csvW, pts, "utilization"); err != nil {
-				logg.Fatal(err)
-			}
-		}
-	}
-	if want("4a") {
-		pts, err := experiment.Fig4aIDEMAAdder(model, *steps)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "startstops/day",
-			"Figure 4a — IDEMA spindle start/stop failure-rate adder")
-		fmt.Println()
-	}
-	if want("4b") {
-		pts, err := experiment.Fig4bFrequencyFunction(model, *steps)
-		if err != nil {
-			logg.Fatal(err)
-		}
-		experiment.RenderFunctionTable(os.Stdout, pts, "transitions/day",
-			"Figure 4b — frequency-reliability function (Eq. 3, ½ × Figure 4a)")
-		fmt.Println()
-		if csvW != nil {
-			if err := experiment.WriteFunctionCSV(csvW, pts, "transitions_per_day"); err != nil {
+		if csvW != nil && f.csvX != "" {
+			if err := experiment.WriteFunctionCSV(csvW, pts, f.csvX); err != nil {
 				logg.Fatal(err)
 			}
 		}
@@ -424,56 +404,20 @@ func run() int {
 	}
 
 	if want("7", "7a", "7b", "7c") {
-		conditions := []struct {
-			name      string
-			intensity float64
-		}{}
-		switch {
-		case *both:
-			conditions = append(conditions,
-				struct {
-					name      string
-					intensity float64
-				}{"light", experiment.LightIntensity},
-				struct {
-					name      string
-					intensity float64
-				}{"heavy", experiment.HeavyIntensity})
-		case *heavy:
-			conditions = append(conditions, struct {
-				name      string
-				intensity float64
-			}{"heavy", experiment.HeavyIntensity})
-		default:
-			conditions = append(conditions, struct {
-				name      string
-				intensity float64
-			}{"light", experiment.LightIntensity})
+		conds := []string{cond}
+		if *both {
+			conds = []string{"light", "heavy"}
 		}
-		for _, cond := range conditions {
+		for _, c := range conds {
 			cfg := experiment.DefaultSweepConfig()
 			cfg.Scale = *scale
-			cfg.Intensity = cond.intensity
-			cfg.MaxAttempts = 1 + *retries
-			cfg.Progress = prog
-			cfg.TraceDecisions = *traceDec
-			condName := "fig7-" + cond.name
-			if *resume && skipRecorded(store, condName, cfg) {
+			cfg.Intensity = intensity[c]
+			res, took := runCondition(d, arraySweep, "fig7-"+c, cfg)
+			if res == nil {
 				continue
 			}
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := runSweep(condName, &cfg)
-			if res == nil {
-				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", condName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordSweep(store, condName, cfg, res, start, pc)
 			fmt.Printf("Figure 7 — %s workload (scale %.3g, %s)\n\n",
-				cond.name, *scale, time.Since(start).Round(time.Millisecond))
+				c, *scale, took.Round(time.Millisecond))
 			panels := []struct {
 				id     string
 				metric experiment.Metric
@@ -496,7 +440,7 @@ func run() int {
 				fmt.Println()
 			}
 			if csvW != nil {
-				fmt.Fprintf(csvW, "# figure 7, %s workload\n", cond.name)
+				fmt.Fprintf(csvW, "# figure 7, %s workload\n", c)
 				if err := experiment.WriteSweepCSV(csvW, res); err != nil {
 					logg.Fatal(err)
 				}
@@ -504,80 +448,39 @@ func run() int {
 		}
 	}
 
-	if want("faults") {
-		cfg := experiment.DefaultFaultSweepConfig()
+	// The observed-reliability sweeps: the Figure 7 comparison with faults
+	// injected, then with RAID organizations crossed in.
+	for _, f := range []struct {
+		fig, csvName, header, title string
+		cfg                         experiment.SweepConfig
+		accel                       float64
+		render                      func(io.Writer, *experiment.SweepResult, string)
+	}{
+		{"faults", "fault", "Fault sweep — energy vs observed data loss",
+			"Observed reliability — Weibull failures under live PRESS hazard scaling",
+			experiment.DefaultFaultSweepConfig(), experiment.FaultSweepAcceleration, experiment.RenderFaultSummary},
+		{"raidloss", "raidloss", "RAID-loss sweep — MTTDL per RAID organization × energy policy",
+			"Data-loss combinations — latent sector errors, scrubbing, Weibull rebuilds",
+			experiment.DefaultRAIDLossSweepConfig(), experiment.RAIDLossAcceleration, experiment.RenderRAIDLoss},
+	} {
+		if !want(f.fig) {
+			continue
+		}
+		cfg := f.cfg
 		cfg.Scale = *scale
-		if *heavy {
-			cfg.Intensity = experiment.HeavyIntensity
+		cfg.Intensity = intensity[cond]
+		res, took := runCondition(d, arraySweep, f.fig+"-"+cond, cfg)
+		if res == nil {
+			continue
 		}
-		cfg.MaxAttempts = 1 + *retries
-		cfg.Progress = prog
-		cfg.TraceDecisions = *traceDec
-		faultsName := "faults-light"
-		if *heavy {
-			faultsName = "faults-heavy"
-		}
-		if !*resume || !skipRecorded(store, faultsName, cfg) {
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := runSweep(faultsName, &cfg)
-			if res == nil {
+		fmt.Printf("%s (scale %.3g, accel %.0g, %d spare(s), %s)\n\n",
+			f.header, *scale, f.accel, cfg.Spares, took.Round(time.Millisecond))
+		f.render(os.Stdout, res, f.title)
+		fmt.Println()
+		if csvW != nil {
+			fmt.Fprintf(csvW, "# %s sweep\n", f.csvName)
+			if err := experiment.WriteSweepCSV(csvW, res); err != nil {
 				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", faultsName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordSweep(store, faultsName, cfg, res, start, pc)
-			fmt.Printf("Fault sweep — energy vs observed data loss (scale %.3g, accel %.0g, %d spare(s), %s)\n\n",
-				*scale, experiment.FaultSweepAcceleration, cfg.Spares, time.Since(start).Round(time.Millisecond))
-			experiment.RenderFaultSummary(os.Stdout, res,
-				"Observed reliability — Weibull failures under live PRESS hazard scaling")
-			fmt.Println()
-			if csvW != nil {
-				fmt.Fprintf(csvW, "# fault sweep\n")
-				if err := experiment.WriteSweepCSV(csvW, res); err != nil {
-					logg.Fatal(err)
-				}
-			}
-		}
-	}
-
-	if want("raidloss") {
-		cfg := experiment.DefaultRAIDLossSweepConfig()
-		cfg.Scale = *scale
-		if *heavy {
-			cfg.Intensity = experiment.HeavyIntensity
-		}
-		cfg.MaxAttempts = 1 + *retries
-		cfg.Progress = prog
-		cfg.TraceDecisions = *traceDec
-		raidName := "raidloss-light"
-		if *heavy {
-			raidName = "raidloss-heavy"
-		}
-		if !*resume || !skipRecorded(store, raidName, cfg) {
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := runSweep(raidName, &cfg)
-			if res == nil {
-				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", raidName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordSweep(store, raidName, cfg, res, start, pc)
-			fmt.Printf("RAID-loss sweep — MTTDL per RAID organization × energy policy (scale %.3g, accel %.0g, %d spare(s), %s)\n\n",
-				*scale, experiment.RAIDLossAcceleration, cfg.Spares, time.Since(start).Round(time.Millisecond))
-			experiment.RenderRAIDLoss(os.Stdout, res,
-				"Data-loss combinations — latent sector errors, scrubbing, Weibull rebuilds")
-			fmt.Println()
-			if csvW != nil {
-				fmt.Fprintf(csvW, "# raidloss sweep\n")
-				if err := experiment.WriteSweepCSV(csvW, res); err != nil {
-					logg.Fatal(err)
-				}
 			}
 		}
 	}
@@ -623,41 +526,10 @@ func run() int {
 	if *fig == "fleet" {
 		cfg := experiment.DefaultFleetSweepConfig()
 		cfg.Scale = *scale
-		if *heavy {
-			cfg.Intensity = experiment.HeavyIntensity
-		}
-		cfg.CellAttempts = 1 + *retries
-		cfg.Parallelism = *workers
-		cfg.Progress = prog
-		cfg.TraceDecisions = *traceDec
-		fleetName := "fleet-light"
-		if *heavy {
-			fleetName = "fleet-heavy"
-		}
-		if !*resume || !skipRecordedFleet(store, fleetName, cfg) {
-			if srv != nil {
-				par := cfg.Parallelism
-				if par <= 0 {
-					par = runtime.NumCPU()
-				}
-				track := telemetry.NewSweepTracker(cfg.CellKeys(), par)
-				cfg.Track = track
-				srv.SetSweep(track)
-				srv.SetRun(fleetName, nil, nil)
-			}
-			start := time.Now()
-			pc := runstore.StartPerf()
-			res, err := experiment.RunFleetSweep(cfg)
-			if res == nil {
-				logg.Fatal(err)
-			}
-			if err != nil {
-				logg.Errorf("sweep %s: %v", fleetName, err)
-				failedCells += len(res.FailedCells())
-			}
-			recordFleetSweep(store, fleetName, cfg, res, start, pc)
+		cfg.Intensity = intensity[cond]
+		if res, took := runCondition(d, fleetSweep, "fleet-"+cond, cfg); res != nil {
 			fmt.Printf("Fleet sweep — routing × policy over fleet sizes (scale %.3g, replicas %d, %s)\n\n",
-				*scale, cfg.Replicas, time.Since(start).Round(time.Millisecond))
+				*scale, cfg.Replicas, took.Round(time.Millisecond))
 			experiment.RenderFleetSummary(os.Stdout, res,
 				"Fleet resilience — deadlines, retries, hedging, failover")
 			fmt.Println()
@@ -673,9 +545,9 @@ func run() int {
 	if srv != nil {
 		srv.MarkDone()
 	}
-	if failedCells > 0 {
-		logg.Errorf("%d sweep cell(s) failed after all retries", failedCells)
-		return min(failedCells, 125)
+	if d.failed > 0 {
+		logg.Errorf("%d sweep cell(s) failed after all retries", d.failed)
+		return min(d.failed, 125)
 	}
 	return 0
 }

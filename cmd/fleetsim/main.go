@@ -227,7 +227,7 @@ func main() {
 		}
 	}
 
-	trace, err := buildTrace(*requests, *intensity, *seed)
+	trace, err := experiment.SyntheticTrace(*requests, *intensity, *seed)
 	if err != nil {
 		logg.Fatal(err)
 	}
@@ -383,18 +383,4 @@ func main() {
 				a.ArrayAFR, a.DiskFailures, a.DataLossEvents)
 		}
 	}
-}
-
-// buildTrace generates the synthetic fleet workload, mirroring arraysim's
-// generated-trace path so fleet-of-1 comparisons replay identical requests.
-func buildTrace(requests int, intensity float64, seed int64) (*diskarray.Trace, error) {
-	cfg := diskarray.DefaultGenConfig()
-	cfg.NumRequests = requests
-	cfg.MeanInterarrival /= intensity
-	cfg.Seed = seed
-	cfg.DiurnalProfile = diskarray.DefaultDiurnalProfile()
-	duration := float64(cfg.NumRequests) * cfg.MeanInterarrival
-	cfg.PhaseSeconds = duration / 12
-	cfg.PhaseRotate = 0.10
-	return diskarray.GenerateTrace(cfg)
 }

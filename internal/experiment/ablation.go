@@ -30,43 +30,10 @@ func (c *AblationConfig) setDefaults() {
 	if c.Workload.NumFiles == 0 {
 		c.Workload = DefaultSweepConfig().Workload
 	}
-	if c.Scale == 0 {
-		c.Scale = 0.05
-	}
-	if c.Intensity == 0 {
-		// The ablations probe transition behaviour, which needs idle
-		// gaps to exist: run at the trace's native arrival rate, where
-		// the diurnal valley leaves disks genuinely idle.
-		c.Intensity = 1
-	}
-	if c.EpochsPerTrace <= 0 {
-		c.EpochsPerTrace = 24
-	}
-}
-
-// prepare builds the trace and epoch length for an ablation.
-func (c AblationConfig) prepare() (*workload.Trace, float64, error) {
-	wl := c.Workload
-	var err error
-	if c.Intensity != 1 {
-		wl, err = wl.WithIntensity(c.Intensity)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if c.Scale != 1 {
-		wl, err = wl.Scaled(c.Scale)
-		if err != nil {
-			return nil, 0, err
-		}
-		wl.PhaseSeconds *= c.Scale
-	}
-	trace, err := workload.Generate(wl)
-	if err != nil {
-		return nil, 0, err
-	}
-	duration := float64(wl.NumRequests) * wl.MeanInterarrival
-	return trace, duration / float64(c.EpochsPerTrace), nil
+	// The ablations probe transition behaviour, which needs idle gaps to
+	// exist: the default intensity of 1 runs at the trace's native arrival
+	// rate, where the diurnal valley leaves disks genuinely idle.
+	defaultTrace(&c.Workload, &c.Scale, &c.Intensity, &c.EpochsPerTrace)
 }
 
 // VariantResult is one ablation cell: a named policy variant's outcome.
@@ -75,13 +42,17 @@ type VariantResult struct {
 	Result *array.Result
 }
 
-// runVariants replays one trace through a list of policy variants.
-func runVariants(cfg AblationConfig, variants []struct {
+// variant is one ablation cell before it runs: a label and a constructor
+// for a fresh policy instance.
+type variant struct {
 	label string
 	make  func() array.Policy
-}) ([]VariantResult, error) {
+}
+
+// runVariants replays one trace through a list of policy variants.
+func runVariants(cfg AblationConfig, variants []variant) ([]VariantResult, error) {
 	cfg.setDefaults()
-	trace, epoch, err := cfg.prepare()
+	trace, epoch, err := prepareTrace(cfg.Workload, cfg.Intensity, cfg.Scale, 0, cfg.EpochsPerTrace)
 	if err != nil {
 		return nil, err
 	}
@@ -108,21 +79,11 @@ func TransitionCapAblation(cfg AblationConfig, caps []int) ([]VariantResult, err
 	if len(caps) == 0 {
 		caps = []int{5, 20, 40, 65, 200, 1600}
 	}
-	variants := make([]struct {
-		label string
-		make  func() array.Policy
-	}, 0, len(caps))
+	variants := make([]variant, 0, len(caps))
 	for _, s := range caps {
-		s := s
-		variants = append(variants, struct {
-			label string
-			make  func() array.Policy
-		}{
-			label: fmt.Sprintf("S=%d", s),
-			make: func() array.Policy {
-				return policy.NewREAD(policy.READConfig{MaxTransitionsPerDay: s})
-			},
-		})
+		variants = append(variants, variant{fmt.Sprintf("S=%d", s), func() array.Policy {
+			return policy.NewREAD(policy.READConfig{MaxTransitionsPerDay: s})
+		}})
 	}
 	return runVariants(cfg, variants)
 }
@@ -130,10 +91,7 @@ func TransitionCapAblation(cfg AblationConfig, caps []int) ([]VariantResult, err
 // READDesignAblation removes READ's design elements one at a time:
 // the adaptive idleness threshold and the epoch migration.
 func READDesignAblation(cfg AblationConfig) ([]VariantResult, error) {
-	return runVariants(cfg, []struct {
-		label string
-		make  func() array.Policy
-	}{
+	return runVariants(cfg, []variant{
 		{"read (full)", func() array.Policy {
 			return policy.NewREAD(policy.READConfig{})
 		}},
@@ -152,10 +110,7 @@ func READDesignAblation(cfg AblationConfig) ([]VariantResult, error) {
 // BaselinePanelAblation runs every implemented policy, including the
 // extensions, on one workload for a side-by-side panel.
 func BaselinePanelAblation(cfg AblationConfig) ([]VariantResult, error) {
-	return runVariants(cfg, []struct {
-		label string
-		make  func() array.Policy
-	}{
+	return runVariants(cfg, []variant{
 		{"always-on", func() array.Policy { return policy.NewAlwaysOn() }},
 		{"read", func() array.Policy { return policy.NewREAD(policy.READConfig{}) }},
 		{"read-replica", func() array.Policy {

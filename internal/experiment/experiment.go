@@ -10,12 +10,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/des"
@@ -93,8 +88,6 @@ type SweepConfig struct {
 	EpochSeconds float64
 	// EpochsPerTrace is used when EpochSeconds is zero; zero means 24.
 	EpochsPerTrace int
-	// Parallelism bounds concurrent simulations; zero means NumCPU.
-	Parallelism int
 	// Press overrides the reliability model used for AFRs (nil = default).
 	// Used for robustness checks, e.g. swapping in the literal OCR reading
 	// of Equation 3.
@@ -125,31 +118,10 @@ type SweepConfig struct {
 	// RunGuarded watchdog aborts a cell whose event loop fires that many
 	// events without advancing virtual time. Zero uses the array default.
 	StallLimit uint64
-	// MaxAttempts bounds how many times a failed cell is retried before it
-	// is recorded as failed (total attempts, not extra retries). Zero or
-	// one means no retry. Retries are mostly useful against transient
-	// environmental failures; a deterministic simulation bug fails the
-	// same way every attempt and is recorded after MaxAttempts tries.
-	MaxAttempts int
-	// RetryBaseDelay is the first retry's backoff; each further retry
-	// doubles it. Zero means 500ms.
-	RetryBaseDelay time.Duration
-	// Progress, when non-nil, receives structured phase and per-cell
-	// completion lines while the sweep runs. It is rate-limited and
-	// goroutine-safe, so a large sweep logs a steady trickle rather than a
-	// burst per cell.
-	Progress *telemetry.Progress
-	// TraceDecisions attaches a decision log to every cell, filling
-	// Cell.Decisions and Result.Attribution. Tracing is observational — it
-	// never changes a cell's results — so like Progress it is an execution
-	// knob, deliberately excluded from the sweep's manifest digest.
-	TraceDecisions bool
-	// Track, when non-nil, receives the sweep's live per-cell state for the
-	// ops plane (pending/running/done/failed/retried, watchdog positions,
-	// ETA). Build it with telemetry.NewSweepTracker(cfg.CellKeys(), ...).
-	// Like Progress it is observation-only and excluded from the digest;
-	// results are bit-identical with or without it.
-	Track *telemetry.SweepTracker
+	// SweepOptions are the execution options: parallelism, cell retries,
+	// progress, decision tracing and the ops-plane tracker. None of them
+	// changes results, so none enters the manifest digest.
+	SweepOptions
 }
 
 // DefaultSweepConfig returns the paper's light-workload sweep at a reduced
@@ -168,6 +140,23 @@ func DefaultSweepConfig() SweepConfig {
 		Scale:      0.05,
 		Intensity:  LightIntensity,
 	}
+}
+
+// SyntheticTrace generates the synthetic day the simulator CLIs replay when
+// no trace file is given: requests requests at intensity times the default
+// arrival rate, the diurnal profile, and 12 popularity phases rotating 10%
+// of the hot set each. arraysim and fleetsim both call it, so a fleet of one
+// replays exactly the requests a standalone array does.
+func SyntheticTrace(requests int, intensity float64, seed int64) (*workload.Trace, error) {
+	cfg := workload.DefaultGenConfig()
+	cfg.NumRequests = requests
+	cfg.MeanInterarrival /= intensity
+	cfg.Seed = seed
+	cfg.DiurnalProfile = workload.DefaultDiurnalProfile()
+	duration := float64(cfg.NumRequests) * cfg.MeanInterarrival
+	cfg.PhaseSeconds = duration / 12
+	cfg.PhaseRotate = 0.10
+	return workload.Generate(cfg)
 }
 
 // The paper evaluates a "light" and a "heavy" workload condition on the
@@ -193,54 +182,19 @@ func (c *SweepConfig) setDefaults() {
 	if len(c.Policies) == 0 {
 		c.Policies = []PolicyKind{KindREAD, KindMAID, KindPDC}
 	}
-	if c.Workload.NumFiles == 0 {
-		c.Workload = workload.DefaultGenConfig()
-	}
-	if c.Scale == 0 {
-		c.Scale = 0.05
-	}
-	if c.Intensity == 0 {
-		c.Intensity = 1
-	}
-	if c.EpochsPerTrace <= 0 {
-		c.EpochsPerTrace = 24
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.NumCPU()
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 1
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 500 * time.Millisecond
-	}
+	defaultTrace(&c.Workload, &c.Scale, &c.Intensity, &c.EpochsPerTrace)
+	c.SweepOptions.setDefaults()
 }
 
 // Validate reports the first invalid sweep parameter.
 func (c *SweepConfig) Validate() error {
-	if c.Scale <= 0 || c.Scale > 1 {
-		return fmt.Errorf("experiment: scale %v outside (0,1]", c.Scale)
-	}
-	if c.Intensity <= 0 {
-		return fmt.Errorf("experiment: intensity %v must be positive", c.Intensity)
+	if err := validateGrid(c.Scale, c.Intensity, c.Policies, c.Faults, c.Spares); err != nil {
+		return err
 	}
 	for _, n := range c.DiskCounts {
 		if n < 2 {
 			return fmt.Errorf("experiment: disk count %d too small", n)
 		}
-	}
-	for _, k := range c.Policies {
-		if _, err := NewPolicy(k); err != nil {
-			return err
-		}
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Spares < 0 {
-		return fmt.Errorf("experiment: negative spare count %d", c.Spares)
 	}
 	if c.RebuildMBps < 0 {
 		return fmt.Errorf("experiment: negative rebuild rate %v", c.RebuildMBps)
@@ -308,31 +262,52 @@ type Cell struct {
 // Key is the cell's ops-plane and manifest identity:
 // "<policy>[.<raid>].<disks>" — the same segments the manifest's
 // "cell.<...>.<metric>" Summary.Extra keys use.
-func (c Cell) Key() string { return cellKey(c.Policy, c.RAID, c.Disks) }
-
-func cellKey(p PolicyKind, raid array.RAIDLevel, disks int) string {
-	if raid != "" {
-		return fmt.Sprintf("%s.%s.%d", p, raid, disks)
+func (c Cell) Key() string {
+	if c.RAID != "" {
+		return fmt.Sprintf("%s.%s.%d", c.Policy, c.RAID, c.Disks)
 	}
-	return fmt.Sprintf("%s.%d", p, disks)
+	return fmt.Sprintf("%s.%d", c.Policy, c.Disks)
 }
 
-// CellKeys enumerates the sweep's cell identities in execution-grid order,
-// for building a telemetry.SweepTracker before the sweep starts. The order
-// matches RunSweep's job grid (disks-major, then RAID level, then policy).
-func (c SweepConfig) CellKeys() []string {
-	c.setDefaults()
+// label names the cell's coordinates in progress and error lines.
+func (c Cell) label() string {
+	if c.RAID != "" {
+		return fmt.Sprintf("disks=%d policy=%s raid=%s", c.Disks, c.Policy, c.RAID)
+	}
+	return fmt.Sprintf("disks=%d policy=%s", c.Disks, c.Policy)
+}
+
+// grid enumerates the sweep's cells, coordinates only, in execution order:
+// disks-major, then RAID level, then policy. With no RAID axis the single
+// empty level keeps the grid — and therefore cell ordering and manifest
+// keys — identical to a pre-RAID sweep.
+func (c *SweepConfig) grid() []Cell {
 	raids := c.RAIDLevels
 	if len(raids) == 0 {
 		raids = []array.RAIDLevel{""}
 	}
-	keys := make([]string, 0, len(c.DiskCounts)*len(raids)*len(c.Policies))
+	cells := make([]Cell, 0, len(c.DiskCounts)*len(raids)*len(c.Policies))
 	for _, n := range c.DiskCounts {
 		for _, r := range raids {
 			for _, p := range c.Policies {
-				keys = append(keys, cellKey(p, r, n))
+				cells = append(cells, Cell{Disks: n, Policy: p, RAID: r})
 			}
 		}
+	}
+	return cells
+}
+
+// CellKeys enumerates the sweep's cell identities in execution-grid order,
+// for building a telemetry.SweepTracker before the sweep starts.
+func (c SweepConfig) CellKeys() []string {
+	c.setDefaults()
+	return keysOf(c.grid())
+}
+
+func keysOf[C gridCell](cells []C) []string {
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = c.Key()
 	}
 	return keys
 }
@@ -344,41 +319,27 @@ type SweepResult struct {
 }
 
 // FailedCells returns the cells whose every attempt failed.
-func (s *SweepResult) FailedCells() []Cell {
-	var out []Cell
-	for _, c := range s.Cells {
-		if c.Status == CellFailed {
+func (s *SweepResult) FailedCells() []Cell { return failedCells(s.Cells) }
+
+func failedCells[C gridCell](cells []C) []C {
+	var out []C
+	for _, c := range cells {
+		if st, _, _ := c.outcome(); st == CellFailed {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// testCellHook, when non-nil, runs at the start of every cell attempt
-// (inside the panic-recovery scope). Tests use it to make chosen cells
-// panic and verify the sweep survives.
-var testCellHook func(kind PolicyKind, disks int)
-
-// runCellOnce executes a single sweep cell attempt. A panic anywhere in the
-// cell — the policy, the simulator, the hook — is converted into an error
-// with the stack attached, so one broken cell cannot take down the sweep's
-// worker pool.
-func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, disks int, kind PolicyKind, raid array.RAIDLevel, live *telemetry.Live, watch *des.Watch) (res *array.Result, dlog *telemetry.DecisionLog, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, dlog = nil, nil
-			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	if testCellHook != nil {
-		testCellHook(kind, disks)
-	}
-	pol, err := NewPolicy(kind)
+// runCell runs one attempt of a sweep cell on a fresh array, policy and
+// telemetry, so concurrent cells share only the read-only config and trace.
+func (cfg *SweepConfig) runCell(c Cell, trace *workload.Trace, epoch float64, live *telemetry.Live, watch *des.Watch) (*array.Result, *telemetry.DecisionLog, error) {
+	pol, err := NewPolicy(c.Policy)
 	if err != nil {
 		return nil, nil, err
 	}
 	acfg := array.Config{
-		Disks:        disks,
+		Disks:        c.Disks,
 		Trace:        trace,
 		Policy:       pol,
 		EpochSeconds: epoch,
@@ -388,6 +349,7 @@ func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, disks i
 		StallLimit:   cfg.StallLimit,
 		Watch:        watch,
 	}
+	var dlog *telemetry.DecisionLog
 	if cfg.TraceDecisions {
 		// An in-memory recorder carrying only the decision log: the cell's
 		// metrics artifacts are unchanged, and the caller drains the log.
@@ -405,13 +367,13 @@ func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, disks i
 	}
 	if cfg.Faults != nil {
 		fc := *cfg.Faults
-		fc.Seed += int64(disks)
+		fc.Seed += int64(c.Disks)
 		acfg.Faults = &fc
 	}
-	if raid != "" {
-		acfg.RAID = array.RAIDConfig{Level: raid, StripeWidth: cfg.RAIDStripeWidth}
+	if c.RAID != "" {
+		acfg.RAID = array.RAIDConfig{Level: c.RAID, StripeWidth: cfg.RAIDStripeWidth}
 	}
-	res, err = array.Run(acfg)
+	res, err := array.Run(acfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -422,7 +384,7 @@ func runCellOnce(cfg *SweepConfig, trace *workload.Trace, epoch float64, disks i
 // (policy, array size) cell in parallel.
 //
 // Cells are isolated: a cell that returns an error or panics is retried up
-// to MaxAttempts times with exponential backoff, and if it still fails it is
+// to CellAttempts times with exponential backoff, and if it still fails it is
 // recorded as CellFailed while every other cell runs to completion. When any
 // cell ultimately fails, RunSweep returns the complete SweepResult alongside
 // a non-nil error summarizing the failures — callers that want the partial
@@ -434,176 +396,21 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		return nil, err
 	}
 	cfg.Progress.Phase("sweep: generate workload")
-	wl := cfg.Workload
-	var err error
-	if cfg.Intensity != 1 {
-		wl, err = wl.WithIntensity(cfg.Intensity)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Scale != 1 {
-		wl, err = wl.Scaled(cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		// Preserve the number of popularity phases across the shortened
-		// trace so churn-driven behaviour is scale-invariant.
-		wl.PhaseSeconds *= cfg.Scale
-	}
-	trace, err := workload.Generate(wl)
+	trace, epoch, err := prepareTrace(cfg.Workload, cfg.Intensity, cfg.Scale, cfg.EpochSeconds, cfg.EpochsPerTrace)
 	if err != nil {
 		return nil, err
 	}
-	epoch := cfg.EpochSeconds
-	if epoch == 0 {
-		duration := float64(wl.NumRequests) * wl.MeanInterarrival
-		epoch = duration / float64(cfg.EpochsPerTrace)
+	cells := cfg.grid()
+	outs, err := runGrid(&cfg.SweepOptions, "sweep", cfg.Workload.Seed, cells,
+		func(c Cell, live *telemetry.Live, watch *des.Watch) (*array.Result, *telemetry.DecisionLog, error) {
+			return cfg.runCell(c, trace, epoch, live, watch)
+		},
+		func(r *array.Result) (float64, uint64) { return r.Duration, r.EventsFired })
+	for i, o := range outs {
+		c := &cells[i]
+		c.Result, c.Status, c.Attempts, c.Err, c.Stall, c.Perf, c.Decisions = o.res, o.status, o.attempts, o.err, o.stall, o.perf, o.dlog
 	}
-
-	// With no RAID axis the single empty level keeps the job grid — and
-	// therefore cell ordering and manifest keys — identical to a pre-RAID
-	// sweep.
-	raids := cfg.RAIDLevels
-	if len(raids) == 0 {
-		raids = []array.RAIDLevel{""}
-	}
-	var jobs []sweepJob
-	for _, n := range cfg.DiskCounts {
-		for _, r := range raids {
-			for _, p := range cfg.Policies {
-				jobs = append(jobs, sweepJob{idx: len(jobs), disks: n, policy: p, raid: r})
-			}
-		}
-	}
-	cells := make([]Cell, len(jobs))
-	cfg.Progress.Phase(fmt.Sprintf("sweep: run %d cells", len(jobs)))
-	var done atomic.Int64
-
-	// Bounded worker pool: exactly min(Parallelism, len(jobs)) goroutines
-	// drain a job channel. Each worker owns one cell end-to-end (engine,
-	// RNG, telemetry are constructed inside runSweepCell), results land at
-	// the cell's own grid index, and the grid — and therefore the manifest
-	// — is bit-identical to a -workers=1 run; only the interleaving of
-	// progress lines varies.
-	workers := cfg.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan sweepJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				cells[j.idx] = runSweepCell(&cfg, trace, epoch, j, len(jobs), &done)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	res := &SweepResult{Config: cfg, Cells: cells}
-	if failed := res.FailedCells(); len(failed) > 0 {
-		return res, fmt.Errorf("experiment: %d of %d cells failed; first: %s",
-			len(failed), len(cells), failed[0].Err)
-	}
-	return res, nil
-}
-
-// sweepJob identifies one cell of the sweep grid: its grid index and the
-// (disks, policy, raid) coordinates.
-type sweepJob struct {
-	idx    int
-	disks  int
-	policy PolicyKind
-	raid   array.RAIDLevel
-}
-
-// runSweepCell runs one sweep cell to completion on the calling goroutine,
-// retrying per the sweep's attempt policy. The cell owns its engine, RNG,
-// and telemetry end-to-end — runCellOnce constructs all three fresh per
-// attempt — so concurrent cells share only the read-only config and trace,
-// plus the mutex/seqlock-mediated progress and tracker handles.
-func runSweepCell(cfg *SweepConfig, trace *workload.Trace, epoch float64, j sweepJob, total int, done *atomic.Int64) Cell {
-	cell := Cell{Disks: j.disks, Policy: j.policy, RAID: j.raid}
-	key := cell.Key()
-	shared := cfg.Parallelism > 1
-	var lastErr error
-	var lastWall float64
-	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-		cell.Attempts = attempt
-		if attempt > 1 {
-			time.Sleep(retryDelay(cfg.RetryBaseDelay, cfg.Workload.Seed, j.idx, attempt))
-			cfg.Progress.Stepf("sweep: retrying disks=%d policy=%s%s (attempt %d/%d)",
-				j.disks, j.policy, raidSuffix(j.raid), attempt, cfg.MaxAttempts)
-		}
-		// Fresh per-attempt ops handles (nil when no tracker): the
-		// array publishes its live position through them, and the
-		// /progress and /healthz endpoints read them concurrently.
-		live, watch := cfg.Track.StartCell(key)
-		pc := runstore.StartPerf()
-		res, dlog, err := runCellOnce(cfg, trace, epoch, j.disks, j.policy, j.raid, live, watch)
-		if err != nil {
-			lastErr = err
-			lastWall = pc.Sample(0, 0, shared).WallSeconds
-			cell.Err = fmt.Sprintf("disks=%d policy=%s%s: %v", j.disks, j.policy, raidSuffix(j.raid), err)
-			if attempt < cfg.MaxAttempts {
-				cfg.Track.CellRetrying(key, err)
-			}
-			continue
-		}
-		perf := pc.Sample(res.Duration, res.EventsFired, shared)
-		cell.Perf = &perf
-		cell.Result = res
-		cell.Decisions = dlog
-		cell.Err = ""
-		cell.Stall = nil
-		cell.Status = CellOK
-		if attempt > 1 {
-			cell.Status = CellRetried
-		}
-		cfg.Track.CellDone(key, perf.WallSeconds, res.EventsFired)
-		break
-	}
-	if cell.Result == nil {
-		cell.Status = CellFailed
-		var serr *des.StallError
-		if errors.As(lastErr, &serr) {
-			cell.Stall = serr
-		}
-		cfg.Track.CellFailed(key, lastErr, lastWall)
-	}
-	if cell.Status == CellFailed {
-		cfg.Progress.Stepf("sweep: cell %d/%d FAILED (disks=%d policy=%s%s, %d attempts)",
-			done.Add(1), total, j.disks, j.policy, raidSuffix(j.raid), cell.Attempts)
-	} else {
-		cfg.Progress.Stepf("sweep: cell %d/%d done (disks=%d policy=%s%s, %d events)",
-			done.Add(1), total, j.disks, j.policy, raidSuffix(j.raid), cell.Result.EventsFired)
-	}
-	return cell
-}
-
-// retryDelay computes the backoff before a cell's attempt-th try (attempt ≥
-// 2): exponential doubling from base, spread to [0.5×, 1.5×) by a pure hash
-// of (seed, cell index, attempt). No RNG state exists, so the retry schedule
-// is a function of the sweep configuration alone — identical on every run of
-// the same sweep, including a run resumed after a crash.
-func retryDelay(base time.Duration, seed int64, cell, attempt int) time.Duration {
-	d := base << uint(attempt-2)
-	return time.Duration(float64(d) * (0.5 + faults.Jitter01(seed, uint64(cell), uint64(attempt))))
-}
-
-// raidSuffix renders a RAID level for progress/error lines: empty when the
-// sweep has no RAID axis, " raid=<level>" otherwise.
-func raidSuffix(r array.RAIDLevel) string {
-	if r == "" {
-		return ""
-	}
-	return fmt.Sprintf(" raid=%s", r)
+	return &SweepResult{Config: cfg, Cells: cells}, err
 }
 
 // Metric selects which scalar a figure plots.

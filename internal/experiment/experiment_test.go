@@ -92,7 +92,23 @@ func TestRunSweepProducesFullGrid(t *testing.T) {
 // same grid, every cell ends done, per-cell perf samples are recorded, and
 // the manifest carries them in its perf section without touching Summary.
 func TestRunSweepWithTrackerRecordsLifecycleAndPerf(t *testing.T) {
-	cfg := tinySweep()
+	t.Run("grid", func(t *testing.T) {
+		cfg := tinySweep()
+		cfg.Parallelism = 4
+		checkTrackedSweep(t, cfg, true)
+	})
+	// A one-cell sweep gets a one-worker pool whatever Parallelism says, so
+	// its cell has the process to itself.
+	t.Run("one-cell", func(t *testing.T) {
+		cfg := tinySweep()
+		cfg.Parallelism = 4
+		cfg.DiskCounts = []int{4}
+		cfg.Policies = []PolicyKind{KindREAD}
+		checkTrackedSweep(t, cfg, false)
+	})
+}
+
+func checkTrackedSweep(t *testing.T, cfg SweepConfig, shared bool) {
 	track := telemetry.NewSweepTracker(cfg.CellKeys(), cfg.Parallelism)
 	cfg.Track = track
 	res, err := RunSweep(cfg)
@@ -115,6 +131,9 @@ func TestRunSweepWithTrackerRecordsLifecycleAndPerf(t *testing.T) {
 		}
 		if c.Perf.WallSeconds <= 0 {
 			t.Errorf("cell %s perf wall %v", c.Key(), c.Perf.WallSeconds)
+		}
+		if c.Perf.SharedProcess != shared {
+			t.Errorf("cell %s perf shared_process = %v, want %v", c.Key(), c.Perf.SharedProcess, shared)
 		}
 	}
 
@@ -367,32 +386,53 @@ func TestSweepDeterminism(t *testing.T) {
 // TestSweepWorkerCountIdentity pins the worker pool's core contract: the
 // sweep grid is bit-identical for every worker count. Everything except the
 // wall-clock perf sample — results, decision logs, statuses, attempt counts
-// — must deep-compare equal between a sequential run and a pooled one.
+// — must deep-compare equal between a sequential run and a pooled one, for
+// the array grid and the fleet grid alike.
 func TestSweepWorkerCountIdentity(t *testing.T) {
-	seq := tinySweep()
-	seq.Parallelism = 1
-	par := tinySweep()
-	par.Parallelism = 4
-
-	a, err := RunSweep(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSweep(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Cells) != len(b.Cells) {
-		t.Fatalf("grid sizes differ: %d vs %d", len(a.Cells), len(b.Cells))
-	}
-	for i := range a.Cells {
-		ca, cb := a.Cells[i], b.Cells[i]
-		// Perf carries wall-clock readings, the one legitimately
-		// nondeterministic field; everything else must match exactly.
-		ca.Perf, cb.Perf = nil, nil
-		if !reflect.DeepEqual(ca, cb) {
-			t.Errorf("cell %d (disks=%d policy=%s) differs between -workers=1 and -workers=4", i, ca.Disks, ca.Policy)
+	// Perf carries wall-clock readings, the one legitimately
+	// nondeterministic field; everything else must match exactly.
+	array := func(workers int) []any {
+		cfg := tinySweep()
+		cfg.Parallelism = workers
+		cfg.TraceDecisions = true
+		res, err := RunSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var out []any
+		for _, c := range res.Cells {
+			c.Perf = nil
+			out = append(out, c)
+		}
+		return out
+	}
+	fleet := func(workers int) []any {
+		cfg := tinyFleetConfig()
+		cfg.Parallelism = workers
+		cfg.TraceDecisions = true
+		res, err := RunFleetSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []any
+		for _, c := range res.Cells {
+			c.Perf = nil
+			out = append(out, c)
+		}
+		return out
+	}
+	for name, run := range map[string]func(int) []any{"array": array, "fleet": fleet} {
+		t.Run(name, func(t *testing.T) {
+			a, b := run(1), run(4)
+			if len(a) != len(b) {
+				t.Fatalf("grid sizes differ: %d vs %d", len(a), len(b))
+			}
+			for i := range a {
+				if !reflect.DeepEqual(a[i], b[i]) {
+					t.Errorf("cell %d differs between -workers=1 and -workers=4", i)
+				}
+			}
+		})
 	}
 }
 

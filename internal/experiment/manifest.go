@@ -41,38 +41,71 @@ func SweepManifest(name string, cfg SweepConfig, res *SweepResult) (*runstore.Ma
 	if err != nil {
 		return nil, err
 	}
-	cfg.setDefaults()
+	summarizeCells(m, res.Cells, cfg.Faults != nil && cfg.Faults.Enabled)
+	m.Attribution = aggregateAttribution(res.Cells)
+	return m, nil
+}
 
-	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled
+func (c Cell) outcome() (CellStatus, int, *runstore.PerfSample) { return c.Status, c.Attempts, c.Perf }
+
+func (c Cell) summary(faultsOn bool, put func(string, float64)) (runstore.Summary, bool) {
+	r := c.Result
+	if c.Status == CellFailed || r == nil {
+		return runstore.Summary{}, false
+	}
+	cs := runstore.SummaryFromResult(r, faultsOn)
+	put("energy_j", cs.EnergyJ)
+	put("array_afr_pct", cs.ArrayAFRPct)
+	put("mean_response_s", cs.MeanResponseS)
+	put("events_fired", cs.EventsFired)
+	if faultsOn {
+		put("disk_failures", cs.DiskFailures)
+		put("data_loss_events", cs.DataLossEvents)
+		if r.LSEModeled {
+			put("lse_errors", float64(r.LSEErrors))
+			put("lse_cleared", float64(r.LSECleared))
+			put("scrubs", float64(r.Scrubs))
+		}
+	}
+	if c.RAID != "" && r.RAIDLevel != "" {
+		put("raid_loss_events", float64(r.RAIDDataLossEvents))
+		put("mttdl_est_hours", r.MTTDLEstHours)
+	}
+	return cs, true
+}
+
+// summarizeCells fills m's summary, status and per-cell perf from a sweep's
+// cells. Every cell's metrics land in Summary.Extra under
+// "cell.<key>.<metric>"; a failed cell contributes a "failed" marker
+// instead, so the diff toolchain flags it as a metric-set mismatch rather
+// than comparing against silent zeros. The aggregate sums the extensive
+// metrics (energy, requests, events, counters) over completed cells and
+// averages the intensive ones.
+func summarizeCells[C gridCell](m *runstore.Manifest, cells []C, faultsOn bool) {
 	var sum runstore.Summary
-	sum.Extra = make(map[string]float64, 4*len(res.Cells))
-	status := string(CellOK)
+	sum.Extra = make(map[string]float64, 8*len(cells))
+	status := CellOK
 	okCells := 0
 	perfCells := make(map[string]runstore.PerfSample)
-	for _, c := range res.Cells {
-		// The RAID segment appears only on RAID-axis sweeps, so the cell
-		// keys (and therefore diffs against pre-RAID manifests) of plain
-		// sweeps are unchanged.
+	for _, c := range cells {
 		prefix := "cell." + c.Key() + "."
-		if c.Perf != nil {
-			perfCells[c.Key()] = *c.Perf
+		st, attempts, perf := c.outcome()
+		if perf != nil {
+			perfCells[c.Key()] = *perf
 		}
-		if c.Attempts > 0 {
-			sum.Extra[prefix+"attempts"] = float64(c.Attempts)
+		if attempts > 0 {
+			sum.Extra[prefix+"attempts"] = float64(attempts)
 		}
-		if c.Status == CellFailed || c.Result == nil {
-			// A failed cell contributes a marker instead of metrics, so the
-			// diff toolchain flags it as a metric-set mismatch rather than
-			// comparing against silent zeros.
+		cs, ok := c.summary(faultsOn, func(metric string, v float64) { sum.Extra[prefix+metric] = v })
+		if !ok {
 			sum.Extra[prefix+"failed"] = 1
-			status = string(CellFailed)
+			status = CellFailed
 			continue
 		}
-		if c.Status == CellRetried && status != string(CellFailed) {
-			status = string(CellRetried)
+		if st == CellRetried && status != CellFailed {
+			status = CellRetried
 		}
 		okCells++
-		cs := runstore.SummaryFromResult(c.Result, faultsOn)
 		sum.EnergyJ += cs.EnergyJ
 		sum.ArrayAFRPct += cs.ArrayAFRPct
 		sum.MeanResponseS += cs.MeanResponseS
@@ -86,31 +119,27 @@ func SweepManifest(name string, cfg SweepConfig, res *SweepResult) (*runstore.Ma
 		sum.TransitionsPerDay += cs.TransitionsPerDay
 		sum.Requests += cs.Requests
 		sum.EventsFired += cs.EventsFired
-		if faultsOn {
+		if cs.FaultsOn {
 			sum.FaultsOn = true
 			sum.DiskFailures += cs.DiskFailures
 			sum.DataLossEvents += cs.DataLossEvents
 		}
-		sum.Extra[prefix+"energy_j"] = cs.EnergyJ
-		sum.Extra[prefix+"array_afr_pct"] = cs.ArrayAFRPct
-		sum.Extra[prefix+"mean_response_s"] = cs.MeanResponseS
-		sum.Extra[prefix+"events_fired"] = cs.EventsFired
-		if faultsOn {
-			sum.Extra[prefix+"disk_failures"] = cs.DiskFailures
-			sum.Extra[prefix+"data_loss_events"] = cs.DataLossEvents
-		}
-		if faultsOn && c.Result.LSEModeled {
-			sum.Extra[prefix+"lse_errors"] = float64(c.Result.LSEErrors)
-			sum.Extra[prefix+"lse_cleared"] = float64(c.Result.LSECleared)
-			sum.Extra[prefix+"scrubs"] = float64(c.Result.Scrubs)
-		}
-		if c.RAID != "" && c.Result.RAIDLevel != "" {
-			sum.Extra[prefix+"raid_loss_events"] = float64(c.Result.RAIDDataLossEvents)
-			sum.Extra[prefix+"mttdl_est_hours"] = c.Result.MTTDLEstHours
+		if cs.FleetOn {
+			sum.FleetOn = true
+			sum.FleetArrays += cs.FleetArrays
+			sum.FleetServed += cs.FleetServed
+			sum.FleetRetries += cs.FleetRetries
+			sum.FleetHedges += cs.FleetHedges
+			sum.FleetHedgeWins += cs.FleetHedgeWins
+			sum.FleetFailovers += cs.FleetFailovers
+			sum.FleetTimeouts += cs.FleetTimeouts
+			sum.FleetDeferred += cs.FleetDeferred
+			sum.FleetShed += cs.FleetShed
+			sum.FleetFailedRequests += cs.FleetFailedRequests
+			sum.FleetShocks += cs.FleetShocks
+			sum.FleetLostRequests += cs.FleetLostRequests
 		}
 	}
-	// Intensive metrics average over the cells that completed; energy,
-	// requests, events, and the fault counts stay extensive (sums).
 	if n := float64(okCells); n > 0 {
 		sum.ArrayAFRPct /= n
 		sum.MeanResponseS /= n
@@ -121,15 +150,13 @@ func SweepManifest(name string, cfg SweepConfig, res *SweepResult) (*runstore.Ma
 		sum.TransitionsPerDay /= n
 	}
 	m.Summary = sum
-	m.Status = status
-	m.Attribution = aggregateAttribution(res.Cells)
+	m.Status = string(status)
 	if len(perfCells) > 0 {
 		// Per-cell self-performance rides outside Summary (like
 		// Attribution): wall-clocks differ run to run by construction and
 		// must never join the diffed metric set. The caller fills Perf.Run.
 		m.Perf = &runstore.Perf{Cells: perfCells}
 	}
-	return m, nil
 }
 
 // aggregateAttribution rolls the per-cell attribution reports into one
@@ -182,13 +209,17 @@ func newSweepManifest(name string, cfg SweepConfig) (*runstore.Manifest, error) 
 	if cfg.Faults != nil {
 		mc.Faults = asMap(*cfg.Faults)
 	}
+	return newManifest(name, mc, cfg.Workload.Seed, cfg.Policies, fmt.Sprintf("scale %g intensity %g", cfg.Scale, cfg.Intensity))
+}
+
+// newManifest builds a sweep manifest shell around its digested config
+// block mc.
+func newManifest(name string, mc any, seed int64, policies []PolicyKind, wl string) (*runstore.Manifest, error) {
 	m, err := runstore.New("experiments", name, mc)
 	if err != nil {
 		return nil, err
 	}
-	m.Seed = cfg.Workload.Seed
-	m.Policy = policyList(cfg.Policies)
-	m.Workload = fmt.Sprintf("scale %g intensity %g", cfg.Scale, cfg.Intensity)
+	m.Seed, m.Policy, m.Workload = seed, policyList(policies), wl
 	return m, nil
 }
 
@@ -196,7 +227,10 @@ func newSweepManifest(name string, cfg SweepConfig) (*runstore.Manifest, error) 
 // recorded under, without running the sweep. A resumable driver uses it to
 // skip conditions whose store entry already exists with an ok status.
 func SweepManifestID(name string, cfg SweepConfig) (string, error) {
-	m, err := newSweepManifest(name, cfg)
+	return manifestID(newSweepManifest(name, cfg))
+}
+
+func manifestID(m *runstore.Manifest, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}

@@ -109,3 +109,26 @@ func TestSweepManifestDigestIgnoresExecutionKnobs(t *testing.T) {
 		t.Fatal("parallelism changed the config digest")
 	}
 }
+
+// TestDefaultConditionManifestIDs pins the run-store IDs of the four default
+// experiments conditions at the CLI's default scale. The ID embeds the config
+// digest that -resume matches on, so a refactor that moves it silently
+// breaks resuming an existing store; arrayreport check only notes drift.
+func TestDefaultConditionManifestIDs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  SweepConfig
+		want string
+	}{
+		{"fig7-light", DefaultSweepConfig(), "fig7-light-5962693de80a"},
+		{"faults-light", DefaultFaultSweepConfig(), "faults-light-628750c6cf8c"},
+		{"raidloss-light", DefaultRAIDLossSweepConfig(), "raidloss-light-c9c01eae6863"},
+	} {
+		if id, err := SweepManifestID(c.name, c.cfg); err != nil || id != c.want {
+			t.Errorf("SweepManifestID(%s) = %q, %v; want %q", c.name, id, err, c.want)
+		}
+	}
+	if id, err := FleetManifestID("fleet-light", DefaultFleetSweepConfig()); err != nil || id != "fleet-light-e85aeb64bb24" {
+		t.Errorf("FleetManifestID(fleet-light) = %q, %v; want fleet-light-e85aeb64bb24", id, err)
+	}
+}

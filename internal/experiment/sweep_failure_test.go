@@ -1,134 +1,185 @@
 package experiment
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/runstore"
 )
 
 // withCellHook installs testCellHook for one test and restores it after.
-func withCellHook(t *testing.T, hook func(PolicyKind, int)) {
+func withCellHook(t *testing.T, hook func(key string)) {
 	t.Helper()
 	testCellHook = hook
 	t.Cleanup(func() { testCellHook = nil })
 }
 
-// TestSweepSurvivesPanickingCell is the sweep half of the issue's
-// acceptance: one cell panics on every attempt, every other cell completes,
-// the failure lands in the manifest, and only the broken cell is failed.
+// gridView is one finished cell, reduced to what the failure tests inspect.
+type gridView struct {
+	key      string
+	status   CellStatus
+	attempts int
+	err      string
+	done     bool // the cell has a result
+}
+
+// gridInput is one sweep grid under test — array or fleet — run with the
+// given cell attempts and a millisecond retry backoff.
+type gridInput struct {
+	name   string
+	target string // the key of the cell the hook breaks
+	run    func(t *testing.T, attempts int) ([]gridView, *runstore.Manifest, func(io.Writer) error, error)
+}
+
+func gridInputs() []gridInput {
+	return []gridInput{
+		{"array", "maid.4", func(t *testing.T, attempts int) ([]gridView, *runstore.Manifest, func(io.Writer) error, error) {
+			cfg := tinySweep()
+			cfg.CellAttempts = attempts
+			cfg.RetryBaseDelay = time.Millisecond
+			res, runErr := RunSweep(cfg)
+			if res == nil {
+				t.Fatalf("want the partial sweep result alongside the error, got %v", runErr)
+			}
+			var views []gridView
+			for _, c := range res.Cells {
+				views = append(views, gridView{c.Key(), c.Status, c.Attempts, c.Err, c.Result != nil})
+			}
+			m, err := SweepManifest("failing", cfg, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			render := func(w io.Writer) error {
+				if err := RenderSweepTable(w, res, MetricEnergy, "partial"); err != nil {
+					return err
+				}
+				return WriteSweepCSV(w, res)
+			}
+			return views, m, render, runErr
+		}},
+		{"fleet", "fleet.read.least-loaded.2", func(t *testing.T, attempts int) ([]gridView, *runstore.Manifest, func(io.Writer) error, error) {
+			cfg := tinyFleetConfig()
+			cfg.CellAttempts = attempts
+			cfg.RetryBaseDelay = time.Millisecond
+			res, runErr := RunFleetSweep(cfg)
+			if res == nil {
+				t.Fatalf("want the partial sweep result alongside the error, got %v", runErr)
+			}
+			var views []gridView
+			for _, c := range res.Cells {
+				views = append(views, gridView{c.Key(), c.Status, c.Attempts, c.Err, c.Result != nil})
+			}
+			m, err := FleetManifest("failing", cfg, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			render := func(w io.Writer) error {
+				RenderFleetSummary(w, res, "partial")
+				return WriteFleetCSV(w, res)
+			}
+			return views, m, render, runErr
+		}},
+	}
+}
+
+// TestSweepSurvivesPanickingCell: one cell panics on every attempt, every
+// other cell completes, the failure lands in the manifest, and only the
+// broken cell is failed — for array and fleet grids alike.
 func TestSweepSurvivesPanickingCell(t *testing.T) {
-	withCellHook(t, func(kind PolicyKind, disks int) {
-		if kind == KindMAID && disks == 4 {
-			panic("injected cell panic")
-		}
-	})
-	cfg := tinySweep()
-	cfg.MaxAttempts = 2
-	cfg.RetryBaseDelay = time.Millisecond
-	res, err := RunSweep(cfg)
-	if err == nil {
-		t.Fatal("want a failure-summary error")
-	}
-	if res == nil {
-		t.Fatal("want the partial sweep result alongside the error")
-	}
-	if !strings.Contains(err.Error(), "1 of") {
-		t.Fatalf("error should count failed cells, got: %v", err)
-	}
+	for _, in := range gridInputs() {
+		t.Run(in.name, func(t *testing.T) {
+			withCellHook(t, func(key string) {
+				if key == in.target {
+					panic("injected cell panic")
+				}
+			})
+			cells, m, render, err := in.run(t, 2)
+			if err == nil {
+				t.Fatal("want a failure-summary error")
+			}
+			if !strings.Contains(err.Error(), "1 of") {
+				t.Fatalf("error should count failed cells, got: %v", err)
+			}
+			found := false
+			for _, c := range cells {
+				if c.key != in.target {
+					if c.status != CellOK || !c.done || c.attempts != 1 {
+						t.Fatalf("healthy cell damaged by the panicking one: %+v", c)
+					}
+					continue
+				}
+				found = true
+				if c.done || c.status != CellFailed || c.attempts != 2 {
+					t.Fatalf("failed cell = %+v", c)
+				}
+				if !strings.Contains(c.err, "injected cell panic") {
+					t.Fatalf("cell error lost the panic message: %q", c.err)
+				}
+			}
+			if !found {
+				t.Fatalf("cell %s not in the grid", in.target)
+			}
 
-	failed := res.FailedCells()
-	if len(failed) != 1 {
-		t.Fatalf("failed cells = %d, want 1", len(failed))
-	}
-	f := failed[0]
-	if f.Policy != KindMAID || f.Disks != 4 {
-		t.Fatalf("wrong cell failed: %s/%d", f.Policy, f.Disks)
-	}
-	if f.Result != nil || f.Status != CellFailed || f.Attempts != 2 {
-		t.Fatalf("failed cell = %+v", f)
-	}
-	if !strings.Contains(f.Err, "injected cell panic") {
-		t.Fatalf("cell error lost the panic message: %q", f.Err)
-	}
-	for _, c := range res.Cells {
-		if c.Policy == KindMAID && c.Disks == 4 {
-			continue
-		}
-		if c.Status != CellOK || c.Result == nil || c.Attempts != 1 {
-			t.Fatalf("healthy cell damaged by the panicking one: %+v", c)
-		}
-	}
+			// The failure is recorded in the manifest: overall status, a
+			// per-cell marker instead of metrics, and attempts for the
+			// post-mortem.
+			prefix := "cell." + in.target + "."
+			if m.Status != string(CellFailed) {
+				t.Fatalf("manifest status = %q, want failed", m.Status)
+			}
+			if m.Summary.Extra[prefix+"failed"] != 1 {
+				t.Fatal("manifest lacks the failed-cell marker")
+			}
+			if _, ok := m.Summary.Extra[prefix+"energy_j"]; ok {
+				t.Fatal("failed cell contributed metrics")
+			}
+			if m.Summary.Extra[prefix+"attempts"] != 2 {
+				t.Fatalf("attempts marker = %v, want 2", m.Summary.Extra[prefix+"attempts"])
+			}
 
-	// The failure is recorded in the manifest: overall status, a per-cell
-	// marker instead of metrics, and attempts for the post-mortem.
-	m, err := SweepManifest("panicking", cfg, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Status != string(CellFailed) {
-		t.Fatalf("manifest status = %q, want failed", m.Status)
-	}
-	if m.Summary.Extra["cell.maid.4.failed"] != 1 {
-		t.Fatal("manifest lacks the failed-cell marker")
-	}
-	if _, ok := m.Summary.Extra["cell.maid.4.energy_j"]; ok {
-		t.Fatal("failed cell contributed metrics")
-	}
-	if m.Summary.Extra["cell.maid.4.attempts"] != 2 {
-		t.Fatalf("attempts marker = %v, want 2", m.Summary.Extra["cell.maid.4.attempts"])
-	}
-
-	// Rendering a partial sweep must not panic either.
-	var sb strings.Builder
-	if err := RenderSweepTable(&sb, res, MetricEnergy, "partial"); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSweepCSV(&sb, res); err != nil {
-		t.Fatal(err)
+			// Rendering a partial sweep must not panic either.
+			if err := render(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestSweepRetriesTransientFailure makes one cell panic only on its first
 // attempt: the retry succeeds, the cell (and the manifest) records
-// "retried", and the sweep as a whole succeeds.
+// "retried", and the sweep as a whole succeeds — for array and fleet grids.
 func TestSweepRetriesTransientFailure(t *testing.T) {
-	var mu sync.Mutex
-	tripped := false
-	withCellHook(t, func(kind PolicyKind, disks int) {
-		if kind == KindPDC && disks == 6 {
-			mu.Lock()
-			first := !tripped
-			tripped = true
-			mu.Unlock()
-			if first {
-				panic("transient fault")
+	for _, in := range gridInputs() {
+		t.Run(in.name, func(t *testing.T) {
+			var mu sync.Mutex
+			tripped := false
+			withCellHook(t, func(key string) {
+				if key == in.target {
+					mu.Lock()
+					first := !tripped
+					tripped = true
+					mu.Unlock()
+					if first {
+						panic("transient fault")
+					}
+				}
+			})
+			cells, m, _, err := in.run(t, 3)
+			if err != nil {
+				t.Fatalf("retried sweep should succeed, got: %v", err)
 			}
-		}
-	})
-	cfg := tinySweep()
-	cfg.MaxAttempts = 3
-	cfg.RetryBaseDelay = time.Millisecond
-	res, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatalf("retried sweep should succeed, got: %v", err)
-	}
-	var retried *Cell
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		if c.Policy == KindPDC && c.Disks == 6 {
-			retried = c
-		}
-	}
-	if retried == nil || retried.Status != CellRetried || retried.Attempts != 2 || retried.Result == nil {
-		t.Fatalf("retried cell = %+v", retried)
-	}
-	m, err := SweepManifest("retried", cfg, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Status != string(CellRetried) {
-		t.Fatalf("manifest status = %q, want retried", m.Status)
+			for _, c := range cells {
+				if c.key == in.target && (c.status != CellRetried || c.attempts != 2 || !c.done) {
+					t.Fatalf("retried cell = %+v", c)
+				}
+			}
+			if m.Status != string(CellRetried) {
+				t.Fatalf("manifest status = %q, want retried", m.Status)
+			}
+		})
 	}
 }
 
