@@ -414,6 +414,37 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
 }
 
+// BenchmarkFleetThroughput is the fleet counterpart of
+// BenchmarkSimulatorThroughput: 16 READ arrays on one shared clock behind
+// least-loaded routing with two replicas per file, reporting simulated
+// requests per second of wall time and allocations per run.
+func BenchmarkFleetThroughput(b *testing.B) {
+	cfg := DefaultGenConfig()
+	cfg.NumRequests = 50000
+	trace, err := GenerateTrace(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		res, err := SimulateFleet(FleetConfig{
+			Arrays:     16,
+			Replicas:   2,
+			Trace:      trace,
+			Proto:      SimConfig{Disks: 8, EpochSeconds: 30},
+			MakePolicy: func(int) (Policy, error) { return NewREAD(READConfig{}), nil },
+			Routing:    RoutingLeastLoaded,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += res.Requests
+	}
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "requests/s")
+}
+
 func BenchmarkTraceGeneration(b *testing.B) {
 	cfg := DefaultGenConfig()
 	cfg.NumRequests = 100000

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/checkpoint"
 	"repro/internal/des"
@@ -247,16 +248,17 @@ type raidCkptState struct {
 }
 
 // simState is the checkpoint payload: the complete mutable state of a run.
-// The ignored fields are re-supplied or rebuilt on restore: cfg and files
-// come back from the caller's CheckpointSpec, eng is reconstructed and its
-// state carried as Clock/Seq/Fired, opaqueLive is zero by construction (a
-// snapshot is never written while an opaque continuation is live), live is
-// observation-only (re-cached from cfg.Telemetry on restore), failure
-// aborts the run before a checkpoint could be taken, and ctx/dispatchH are
-// stateless singletons rebuilt by newSimOn (ctx carries only the sim
-// pointer; dispatchH re-reads the restored events table by FiringID).
+// The ignored fields are re-supplied or rebuilt on restore: cfg comes back
+// from the caller and fileSlots is rebuilt from its trace, eng is
+// reconstructed and its state carried as Clock/Seq/Fired, opaqueLive is zero
+// by construction (a snapshot is never written while an opaque continuation
+// is live), live is observation-only (re-cached from cfg.Telemetry on
+// restore), failure aborts the run before a checkpoint could be taken, and
+// ctx/dispatchH are stateless singletons rebuilt by newSimOn (ctx carries
+// only the sim pointer; dispatchH takes records from the restored event slab
+// by firing slot). The slot-indexed file tables travel keyed by file ID.
 //
-//simlint:checkpoint-for sim ignore=cfg,eng,files,opaqueLive,failure,live,host,ctx,dispatchH alias=met:Metrics,flt:Faults,trc:Trace
+//simlint:checkpoint-for sim ignore=cfg,eng,fileSlots,opaqueLive,failure,live,host,ctx,dispatchH alias=met:Metrics,flt:Faults,trc:Trace
 type simState struct {
 	Clock         float64                     `json:"clock"`
 	Seq           uint64                      `json:"seq"`
@@ -267,8 +269,8 @@ type simState struct {
 	BackgroundOps int                         `json:"background_ops"`
 	Epochs        int                         `json:"epochs"`
 	MigsThisEpoch int                         `json:"migs_this_epoch"`
-	Place         map[int]int                 `json:"place"`
-	Counts        map[int]int                 `json:"counts,omitempty"`
+	Place         *fileTable                  `json:"place"`
+	Counts        *fileTable                  `json:"counts,omitempty"`
 	Migrating     []int                       `json:"migrating,omitempty"`
 	RespStream    stats.StreamState           `json:"resp_stream"`
 	RespHist      stats.LatencyHistogramState `json:"resp_hist"`
@@ -346,16 +348,22 @@ func (s *sim) buildState() (*simState, error) {
 		BackgroundOps: s.backgroundOps,
 		Epochs:        s.epochs,
 		MigsThisEpoch: s.migsThisEpoch,
-		Place:         s.place,
-		Counts:        s.counts,
+		Place:         &fileTable{fs: &s.fileSlots, vals: s.place, min: 0},
 		RespStream:    s.respStream.State(),
 		RespHist:      s.respHist.State(),
 		Timeline:      s.timeline,
 	}
-	for id := range s.migrating {
-		st.Migrating = append(st.Migrating, id)
+	for _, n := range s.counts {
+		if n > 0 {
+			st.Counts = &fileTable{fs: &s.fileSlots, vals: s.counts, min: 1}
+			break
+		}
 	}
-	sort.Ints(st.Migrating)
+	for _, slot := range s.slotOf { // ascending file ID
+		if slot >= 0 && s.migrating[slot] {
+			st.Migrating = append(st.Migrating, s.files[slot].ID)
+		}
+	}
 
 	table := &stripeTable{ids: make(map[*stripeJob]int)}
 	st.Disks = make([]diskCkptState, len(s.disks))
@@ -394,21 +402,14 @@ func (s *sim) buildState() (*simState, error) {
 		st.Disks[i] = dc
 	}
 
-	for _, id := range s.eng.PendingIDs() {
-		rec, ok := s.events[id]
-		if !ok {
-			if s.host != nil {
-				// Shared engine: this pending event belongs to another owner
-				// (the router or a sibling member), which saves it itself.
-				continue
-			}
-			return nil, fmt.Errorf("array: pending event %d has no record; cannot checkpoint", id)
-		}
-		t, _ := s.eng.EventTime(id)
+	// Only this sim's own events: on a shared engine the router and sibling
+	// members save theirs.
+	for _, pe := range s.events.Pending() {
+		rec := &pe.Rec
 		se := savedEvent{
-			Time:        t,
-			Seq:         uint64(id),
-			Kind:        rec.Kind,
+			Time:        pe.Time,
+			Seq:         uint64(pe.ID),
+			Kind:        rec.Kind.String(),
 			Disk:        rec.Disk,
 			Gen:         rec.Gen,
 			Deadline:    rec.Deadline,
@@ -533,6 +534,54 @@ func decodeCont(cs *contState) (*cont, error) {
 	}, nil
 }
 
+// fileTable is a slot-indexed file table as a checkpoint carries it: the
+// JSON object keyed by file ID that encoding/json writes for a map[int]int
+// (keys in its sorted string order), holding the entries at or above min.
+// Encoding writes straight from the slots; decoding fills byID.
+type fileTable struct {
+	fs   *fileSlots
+	vals []int
+	min  int
+	byID map[int]int
+}
+
+func (t *fileTable) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 8*len(t.vals)+2), '{')
+	for _, slot := range t.fs.jsonOrder() {
+		if v := t.vals[slot]; v >= t.min {
+			if len(b) > 1 {
+				b = append(b, ',')
+			}
+			b = append(strconv.AppendInt(append(b, '"'), int64(t.fs.files[slot].ID), 10), '"', ':')
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+	}
+	return append(b, '}'), nil
+}
+
+func (t *fileTable) UnmarshalJSON(data []byte) error { return json.Unmarshal(data, &t.byID) }
+
+// restore copies the decoded table into the slot-indexed dst, in ascending
+// ID order.
+func (t *fileTable) restore(s *sim, what string, dst []int) error {
+	if t == nil {
+		return nil
+	}
+	ids := make([]int, 0, len(t.byID))
+	for id := range t.byID {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		slot := s.slot(id)
+		if slot < 0 {
+			return fmt.Errorf("array: resume: %s for unknown file %d", what, id)
+		}
+		dst[slot] = t.byID[id]
+	}
+	return nil
+}
+
 // RestoredEvent is one pending DES event decoded from a checkpoint but not
 // yet re-scheduled. Resume schedules its own events directly; a cluster
 // restore first merge-sorts the RestoredEvents of every owner of the shared
@@ -575,7 +624,7 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 		// cadence, or EventsFired (and the whole event sequence) diverges
 		// from the uninterrupted run the resume claims to equal.
 		for _, se := range st.Events {
-			if se.Kind == evCheckpoint {
+			if se.Kind == evCheckpoint.String() {
 				return nil, fmt.Errorf("array: resume: snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
 			}
 		}
@@ -589,7 +638,7 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	}
 	for _, re := range evs {
 		if err := re.Schedule(); err != nil {
-			return nil, fmt.Errorf("array: resume: re-schedule %s@%v: %w", re.rec.Kind, re.Time, err)
+			return nil, fmt.Errorf("array: resume: re-schedule %v@%v: %w", re.rec.Kind, re.Time, err)
 		}
 	}
 	if err := s.eng.FinishRestore(st.Seq, st.Fired); err != nil {
@@ -698,14 +747,18 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 	s.backgroundOps = st.BackgroundOps
 	s.epochs = st.Epochs
 	s.migsThisEpoch = st.MigsThisEpoch
-	if st.Place != nil {
-		s.place = st.Place
+	if err := st.Place.restore(s, "placement", s.place); err != nil {
+		return nil, nil, err
 	}
-	if st.Counts != nil {
-		s.counts = st.Counts
+	if err := st.Counts.restore(s, "access count", s.counts); err != nil {
+		return nil, nil, err
 	}
 	for _, id := range st.Migrating {
-		s.migrating[id] = true
+		slot := s.slot(id)
+		if slot < 0 {
+			return nil, nil, fmt.Errorf("array: resume: migration of unknown file %d", id)
+		}
+		s.migrating[slot] = true
 	}
 	s.respStream.SetState(st.RespStream)
 	if err := s.respHist.SetState(st.RespHist); err != nil {
@@ -781,8 +834,12 @@ func restoreSim(cfg Config, st *simState, eng *des.Engine, host Host) (*sim, []R
 
 	evs := make([]RestoredEvent, 0, len(st.Events))
 	for _, se := range st.Events {
+		kind, err := parseEvKind(se.Kind)
+		if err != nil {
+			return nil, nil, err
+		}
 		rec := eventRecord{
-			Kind:        se.Kind,
+			Kind:        kind,
 			Disk:        se.Disk,
 			Gen:         se.Gen,
 			Deadline:    se.Deadline,

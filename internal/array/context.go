@@ -24,14 +24,16 @@ func (c *Context) Files() workload.FileSet { return c.s.cfg.Trace.Files }
 
 // File returns the file with the given id.
 func (c *Context) File(id int) (workload.File, bool) {
-	f, ok := c.s.files[id]
-	return f, ok
+	if slot := c.s.slot(id); slot >= 0 {
+		return c.s.files[slot], true
+	}
+	return workload.File{}, false
 }
 
 // Placement returns the disk currently holding fileID (-1 if unplaced).
 func (c *Context) Placement(fileID int) int {
-	if d, ok := c.s.place[fileID]; ok {
-		return d
+	if slot := c.s.slot(fileID); slot >= 0 {
+		return c.s.place[slot]
 	}
 	return -1
 }
@@ -46,10 +48,11 @@ func (c *Context) SetPlacement(fileID, disk int) error {
 	if disk < 0 || disk >= len(c.s.disks) {
 		return fmt.Errorf("array: placement disk %d out of range", disk)
 	}
-	if _, ok := c.s.files[fileID]; !ok {
+	slot := c.s.slot(fileID)
+	if slot < 0 {
 		return fmt.Errorf("array: placement of unknown file %d", fileID)
 	}
-	c.s.place[fileID] = disk
+	c.s.place[slot] = disk
 	return nil
 }
 
@@ -135,15 +138,11 @@ func (c *Context) IdleTimeout(d int) float64 { return c.s.disks[d].idleTimeout }
 
 // AccessCount returns the number of requests for fileID observed during the
 // current epoch (the paper's File Popularity Table).
-func (c *Context) AccessCount(fileID int) int { return c.s.counts[fileID] }
-
-// AccessCounts returns a copy of the current epoch's popularity table.
-func (c *Context) AccessCounts() map[int]int {
-	out := make(map[int]int, len(c.s.counts))
-	for k, v := range c.s.counts {
-		out[k] = v
+func (c *Context) AccessCount(fileID int) int {
+	if slot := c.s.slot(fileID); slot >= 0 {
+		return c.s.counts[slot]
 	}
-	return out
+	return 0
 }
 
 // Migrate moves fileID to disk `to` as a background transfer: a read
@@ -160,12 +159,12 @@ func (c *Context) Migrate(fileID, to int) bool {
 	if to < 0 || to >= len(s.disks) {
 		return false
 	}
-	f, ok := s.files[fileID]
-	if !ok {
+	slot := s.slot(fileID)
+	if slot < 0 {
 		return false
 	}
-	from, ok := s.place[fileID]
-	if !ok || from == to || s.migrating[fileID] {
+	f, from := s.files[slot], s.place[slot]
+	if from < 0 || from == to || s.migrating[slot] {
 		return false
 	}
 	if s.disks[from].failed || s.disks[to].failed {
@@ -175,7 +174,7 @@ func (c *Context) Migrate(fileID, to int) bool {
 		// Replay override: this migration never happens.
 		return false
 	}
-	s.migrating[fileID] = true
+	s.migrating[slot] = true
 	s.migrations++
 	s.met.migrations.Inc()
 	delay := 0.0
@@ -195,7 +194,10 @@ func (c *Context) Migrate(fileID, to int) bool {
 }
 
 // Migrating reports whether fileID has a migration in flight.
-func (c *Context) Migrating(fileID int) bool { return c.s.migrating[fileID] }
+func (c *Context) Migrating(fileID int) bool {
+	slot := c.s.slot(fileID)
+	return slot >= 0 && c.s.migrating[slot]
+}
 
 // EnqueueWrite schedules a background write of sizeMB on disk d (MAID's
 // cache-disk copy). onDone, if non-nil, runs at completion.

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/faults"
@@ -277,7 +276,7 @@ func (s *sim) routeAroundFailure(d int, o op) {
 		return
 	}
 	f := s.flt
-	if p, ok := s.place[o.fileID]; ok && !s.disks[p].failed {
+	if p := s.place[s.slot(o.fileID)]; p >= 0 && !s.disks[p].failed {
 		// A live copy exists — the policy re-assigned the file, a replica
 		// holds it, or the original disk is already back up. Deliver
 		// degraded.
@@ -326,7 +325,7 @@ func (s *sim) loseOp(o op) {
 // run must stop blocking checkpoints).
 func (s *sim) dropBackground(o op) {
 	if o.mig {
-		delete(s.migrating, o.fileID)
+		s.migrating[s.slot(o.fileID)] = false
 		if s.trc != nil {
 			s.dropMigration(o.fileID)
 		}
@@ -358,19 +357,13 @@ func (s *sim) repairDisk(d int) {
 		s.endHook()
 	}
 
-	// Rebuild everything placed on the replacement. File IDs are walked in
-	// sorted order so the float summation — and with it the whole run — is
-	// deterministic (map iteration order is not).
-	ids := make([]int, 0, 16)
-	for id, p := range s.place {
-		if p == d {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
+	// Rebuild everything placed on the replacement. Files are walked in ID
+	// order so the float summation is independent of the trace's file order.
 	var totalMB float64
-	for _, id := range ids {
-		totalMB += s.files[id].SizeMB
+	for _, slot := range s.byID() {
+		if s.place[slot] == d {
+			totalMB += s.files[slot].SizeMB
+		}
 	}
 	if totalMB > 0 {
 		if f.cfg.RebuildTime != nil {
@@ -466,12 +459,11 @@ func (c *Context) SparesLeft() int {
 // FilesOn returns the IDs of files currently placed on disk d, sorted.
 func (c *Context) FilesOn(d int) []int {
 	var ids []int
-	for id, p := range c.s.place {
-		if p == d {
-			ids = append(ids, id)
+	for _, slot := range c.s.byID() {
+		if c.s.place[slot] == d {
+			ids = append(ids, c.s.files[slot].ID)
 		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -491,22 +483,19 @@ func (c *Context) ReassignFile(fileID, to int) error {
 	if s.disks[to].failed {
 		return fmt.Errorf("array: reassign target disk %d is failed", to)
 	}
-	if _, ok := s.files[fileID]; !ok {
+	slot := s.slot(fileID)
+	if slot < 0 {
 		return fmt.Errorf("array: reassign of unknown file %d", fileID)
 	}
 	if s.trc != nil {
-		from := -1
-		if p, ok := s.place[fileID]; ok {
-			from = p
-		}
-		if !s.recordReassign(fileID, from, to, c.Now()) {
+		if !s.recordReassign(fileID, s.place[slot], to, c.Now()) {
 			// Replay override: the re-home never happens; the file stays
 			// where it was (typically on the failed disk, so its requests
 			// wait for the spare or are lost).
 			return nil
 		}
 	}
-	s.place[fileID] = to
+	s.place[slot] = to
 	s.flt.reassigned++
 	return nil
 }

@@ -63,7 +63,8 @@ func (p *chaosPolicy) OnEpoch(ctx *Context) {
 		case 2:
 			ctx.SetIdleTimeout(p.rng.Intn(n), float64(p.rng.Intn(120)))
 		case 3:
-			_ = ctx.AccessCounts()
+			files := ctx.Files()
+			_ = ctx.AccessCount(files[p.rng.Intn(len(files))].ID)
 		}
 	}
 }

@@ -28,12 +28,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/diskmodel"
 	"repro/internal/reliability"
-	"repro/internal/thermal"
 )
 
 // Host is the cluster-side surface a fleet member reports into. The router
@@ -64,53 +62,15 @@ type Member struct {
 // arrival — after idle timers are armed, before the epoch event — so the
 // router can slot its arrival chain into the same sequence position.
 func NewMember(cfg Config, eng *des.Engine, host Host, firstArrival func() error) (*Member, error) {
-	if eng == nil || host == nil {
-		return nil, errors.New("array: member needs a shared engine and a host")
-	}
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := checkMember(&cfg, eng, host); err != nil {
 		return nil, err
-	}
-	if len(cfg.Trace.Requests) != 0 {
-		return nil, errors.New("array: member trace must have no requests; arrivals come from Submit")
-	}
-	if cfg.Checkpoint != nil {
-		return nil, errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
 	}
 	s, err := newSimOn(cfg, eng, host)
 	if err != nil {
 		return nil, err
 	}
-	for i := range s.disks {
-		s.disks[i].disk = diskmodel.New(i, cfg.DiskParams, diskmodel.High)
-		s.disks[i].temp = thermal.NewTracker(cfg.Thermal, diskmodel.High)
-	}
-
-	ctx := s.ctx
-	if err := cfg.Policy.Init(ctx); err != nil {
-		return nil, fmt.Errorf("array: policy init: %w", err)
-	}
-	ids := make([]int, 0, len(s.files))
-	for id := range s.files {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, ok := s.place[id]; !ok {
-			return nil, fmt.Errorf("array: policy %q left file %d unplaced", cfg.Policy.Name(), id)
-		}
-	}
-	// Init-time transitions are free, exactly as in Run.
-	for i, ds := range s.disks {
-		if ds.pending != nil && *ds.pending != ds.disk.Speed() {
-			target := *ds.pending
-			ds.disk = diskmodel.New(i, cfg.DiskParams, target)
-			ds.temp = thermal.NewTracker(cfg.Thermal, target)
-		}
-		ds.pending = nil
-	}
-	for i := range s.disks {
-		s.armIdleTimer(i)
+	if err := s.initPolicy(); err != nil {
+		return nil, err
 	}
 	if firstArrival != nil {
 		if err := firstArrival(); err != nil {
@@ -127,7 +87,26 @@ func NewMember(cfg Config, eng *des.Engine, host Host, firstArrival func() error
 	return &Member{s: s}, nil
 }
 
-// Submit injects one request attempt, mirroring the body of onArrival.
+// checkMember defaults and validates a member's configuration, the checks
+// NewMember and ResumeMember share.
+func checkMember(cfg *Config, eng *des.Engine, host Host) error {
+	if eng == nil || host == nil {
+		return errors.New("array: member needs a shared engine and a host")
+	}
+	cfg.setDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if len(cfg.Trace.Requests) != 0 {
+		return errors.New("array: member trace must have no requests; arrivals come from Submit")
+	}
+	if cfg.Checkpoint != nil {
+		return errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
+	}
+	return nil
+}
+
+// Submit injects one request attempt, as onArrival injects a trace request.
 // arrival is the latency reference point for the member's own response
 // statistics: the fleet arrival time for first attempts, the retry/hedge
 // issue time for later ones.
@@ -136,31 +115,8 @@ func (m *Member) Submit(reqID uint64, attempt, fileID int, arrival float64) {
 	if s.failure != nil {
 		return
 	}
-	f, ok := s.files[fileID]
-	if !ok {
-		s.fail(fmt.Errorf("array: request for unknown file %d", fileID))
-		return
-	}
-	s.counts[fileID]++
 	s.met.arrivals.Inc()
-	ctx := s.ctx
-	s.setHook(hookArrival)
-	defer s.endHook()
-
-	done := &cont{kind: contFleet, reqID: reqID, attempt: attempt}
-	if sp, ok := s.cfg.Policy.(StripePolicy); ok {
-		targets := sp.StripeTargets(ctx, fileID)
-		if len(targets) >= 2 {
-			s.dispatchStripedDone(fileID, f.SizeMB, arrival, targets, done)
-			return
-		}
-	}
-	target := s.cfg.Policy.TargetDisk(ctx, fileID)
-	if target < 0 || target >= len(s.disks) {
-		s.fail(fmt.Errorf("array: policy %q targeted invalid disk %d", s.cfg.Policy.Name(), target))
-		return
-	}
-	s.enqueue(target, op{kind: opUser, fileID: fileID, sizeMB: f.SizeMB, arrival: arrival, done: done})
+	s.admit(fileID, arrival, &cont{kind: contFleet, reqID: reqID, attempt: attempt})
 }
 
 // Err returns the member's sticky failure, if any (queue overload, policy
@@ -297,18 +253,8 @@ func IsOpaqueLive(err error) bool { return errors.Is(err, errOpaqueLive) }
 // them with the router's own saved events by Seq and schedules the union in
 // global order between the shared engine's BeginRestore and FinishRestore.
 func ResumeMember(cfg Config, eng *des.Engine, host Host, stateJSON []byte) (*Member, []RestoredEvent, error) {
-	if eng == nil || host == nil {
-		return nil, nil, errors.New("array: member needs a shared engine and a host")
-	}
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := checkMember(&cfg, eng, host); err != nil {
 		return nil, nil, err
-	}
-	if len(cfg.Trace.Requests) != 0 {
-		return nil, nil, errors.New("array: member trace must have no requests; arrivals come from Submit")
-	}
-	if cfg.Checkpoint != nil {
-		return nil, nil, errors.New("array: member checkpointing is driven by the cluster, not Config.Checkpoint")
 	}
 	var st simState
 	if err := json.Unmarshal(stateJSON, &st); err != nil {

@@ -1,10 +1,12 @@
 package array
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/des"
 	"repro/internal/diskmodel"
@@ -397,15 +399,93 @@ func (ds *diskState) pop() op {
 	return ds.bg.pop()
 }
 
+// maxFileIDSpan bounds the file ID→slot table, which costs 4 bytes per ID
+// between a trace's smallest and largest file ID: a trace whose IDs spread
+// over more values than this (a 256 MiB table) is rejected.
+const maxFileIDSpan = 1 << 26
+
+// fileSlots numbers a trace's files by slot — the file's index in the trace's
+// file set — and maps file IDs to slots through a direct-index table over
+// [minID, maxID]. Trace IDs may be sparse or negative; the table spends 4
+// bytes per ID in that span, with -1 marking IDs no file has.
+type fileSlots struct {
+	files  workload.FileSet // slot -> file (the trace's set, shared)
+	minID  int
+	slotOf []int32 // ID-minID -> slot
+	order  []int   // jsonOrder's result, built on first use
+}
+
+func newFileSlots(files workload.FileSet) (fileSlots, error) {
+	fs := fileSlots{files: files}
+	if len(files) == 0 {
+		return fs, nil
+	}
+	lo, hi := files[0].ID, files[0].ID
+	for _, f := range files[1:] {
+		lo, hi = min(lo, f.ID), max(hi, f.ID)
+	}
+	if uint64(hi)-uint64(lo) >= maxFileIDSpan {
+		return fs, fmt.Errorf("array: file IDs span %d..%d, more than %d values", lo, hi, maxFileIDSpan)
+	}
+	fs.minID = lo
+	fs.slotOf = make([]int32, hi-lo+1)
+	for i := range fs.slotOf {
+		fs.slotOf[i] = -1
+	}
+	for i, f := range files {
+		fs.slotOf[f.ID-lo] = int32(i)
+	}
+	return fs, nil
+}
+
+// slot returns the slot of the file with the given ID, or -1 if none.
+func (fs *fileSlots) slot(id int) int {
+	if i := uint(id - fs.minID); i < uint(len(fs.slotOf)) {
+		return int(fs.slotOf[i])
+	}
+	return -1
+}
+
+// byID returns every slot in ascending file-ID order, the order any loop
+// whose effects depend on iteration order (a float sum, a reported error)
+// must walk files in.
+func (fs *fileSlots) byID() []int {
+	out := make([]int, 0, len(fs.files))
+	for _, slot := range fs.slotOf {
+		if slot >= 0 {
+			out = append(out, int(slot))
+		}
+	}
+	return out
+}
+
+// jsonOrder returns every slot in the order encoding/json writes the keys
+// of a map keyed by file ID: by the ID's decimal string.
+func (fs *fileSlots) jsonOrder() []int {
+	if fs.order == nil {
+		var ka, kb [20]byte
+		fs.order = fs.byID()
+		slices.SortFunc(fs.order, func(a, b int) int {
+			return bytes.Compare(strconv.AppendInt(ka[:0], int64(fs.files[a].ID), 10),
+				strconv.AppendInt(kb[:0], int64(fs.files[b].ID), 10))
+		})
+	}
+	return fs.order
+}
+
 // sim is the running simulation.
 type sim struct {
 	cfg     Config
 	eng     *des.Engine
 	disks   []*diskState
-	files   map[int]workload.File
-	place   map[int]int // fileID -> disk
-	counts  map[int]int // per-epoch access counts
 	nextReq int
+
+	// Per-file tables, indexed by file slot: the file's index in
+	// cfg.Trace.Files. fileSlots maps a file ID to its slot (see slot).
+	fileSlots
+	place     []int  // disk holding the file; -1 while unplaced
+	counts    []int  // accesses during the current epoch
+	migrating []bool // migration in flight
 
 	respStream stats.Stream
 	respHist   *stats.LatencyHistogram
@@ -413,8 +493,7 @@ type sim struct {
 	migrations    int
 	backgroundOps int
 	epochs        int
-	migrating     map[int]bool // fileID -> migration in flight
-	migsThisEpoch int          // for staggering migration starts
+	migsThisEpoch int // for staggering migration starts
 	timeline      []Sample
 
 	met simMetrics // nil handles (no-ops) unless cfg.Telemetry is set
@@ -430,12 +509,12 @@ type sim struct {
 	// carries a DecisionLog (see trace.go).
 	trc *traceState
 
-	// events mirrors the engine's pending queue as serializable records
-	// (events.go); entries are removed as events fire.
-	events map[des.EventID]eventRecord
+	// events holds the sim's pending event records (events.go), one slab
+	// entry per scheduled event, freed as the event fires.
+	events des.Slab[eventRecord]
 	// dispatchH is the one engine handler every record is scheduled with;
-	// it keys the record table by the engine's FiringID. Caching it here
-	// means `at` allocates no per-event closure.
+	// it takes the firing record out of the slab by the engine's firing
+	// slot. Caching it here means `at` allocates no per-event closure.
 	dispatchH des.Handler
 	// ctx is the one Context handed to policy callbacks. Context carries
 	// only the sim pointer, so a single cached instance replaces a heap
@@ -455,20 +534,19 @@ type sim struct {
 	failure error // sticky abort (queue explosion etc.)
 }
 
-// newSim builds the simulation shell shared by Run and Resume: metric
-// bindings, file table, and empty disk scheduler states. Disk contents and
-// the event queue are filled in by the caller (fresh for Run, from a
-// snapshot for Resume).
-func newSim(cfg Config) (*sim, error) {
-	return newSimOn(cfg, nil, nil)
-}
-
-// newSimOn is newSim with an optional shared engine and host for fleet
-// members. When eng is non-nil the sim schedules onto it instead of owning
-// one, and leaves the engine's tracer/watch alone — the cluster that owns
-// the engine installs those exactly once.
+// newSimOn builds the simulation shell shared by Run, Resume and fleet
+// members: metric bindings, file tables, and empty disk scheduler states.
+// Disk contents and the event queue are filled in by the caller (fresh for
+// Run, from a snapshot for Resume). When eng is non-nil the sim schedules
+// onto that shared engine instead of owning one, and leaves the engine's
+// tracer/watch alone — the cluster that owns the engine installs those
+// exactly once; host is then the cluster.
 func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 	hist, err := stats.NewLatencyHistogram(-6, 5, 50)
+	if err != nil {
+		return nil, err
+	}
+	slots, err := newFileSlots(cfg.Trace.Files)
 	if err != nil {
 		return nil, err
 	}
@@ -476,23 +554,24 @@ func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 	if eng == nil {
 		eng = des.New()
 	}
+	n := len(cfg.Trace.Files)
 	s := &sim{
 		cfg:       cfg,
 		eng:       eng,
 		host:      host,
-		files:     make(map[int]workload.File, len(cfg.Trace.Files)),
-		place:     make(map[int]int, len(cfg.Trace.Files)),
-		counts:    make(map[int]int),
+		fileSlots: slots,
+		place:     make([]int, n),
+		counts:    make([]int, n),
+		migrating: make([]bool, n),
 		respHist:  hist,
-		migrating: make(map[int]bool),
-		events:    make(map[des.EventID]eventRecord),
+	}
+	for i := range s.place {
+		s.place[i] = -1
 	}
 	s.ctx = &Context{s: s}
 	s.dispatchH = func(e *des.Engine) {
-		id := e.FiringID()
-		rec := s.events[id]
-		delete(s.events, id)
-		s.dispatch(rec, e)
+		rec := s.events.Take(e)
+		s.dispatch(&rec, e)
 	}
 	if cfg.Telemetry != nil {
 		s.met = newSimMetrics(cfg.Telemetry.Metrics)
@@ -507,9 +586,6 @@ func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 	if !shared {
 		s.eng.SetWatch(cfg.Watch)
 	}
-	for _, f := range cfg.Trace.Files {
-		s.files[f.ID] = f
-	}
 	s.disks = make([]*diskState, cfg.Disks)
 	for i := range s.disks {
 		s.disks[i] = &diskState{}
@@ -517,38 +593,23 @@ func newSimOn(cfg Config, eng *des.Engine, host Host) (*sim, error) {
 	return s, nil
 }
 
-// Run executes one simulation and returns its result.
-func Run(cfg Config) (*Result, error) {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateCheckpointSpec(&cfg); err != nil {
-		return nil, err
-	}
-	s, err := newSim(cfg)
-	if err != nil {
-		return nil, err
-	}
+// initPolicy runs the policy's Init on fresh disks, checks that it placed
+// every file, applies its initial speeds and arms the idle timers: the
+// setup Run and NewMember share.
+func (s *sim) initPolicy() error {
+	cfg := &s.cfg
 	for i := range s.disks {
 		s.disks[i].disk = diskmodel.New(i, cfg.DiskParams, diskmodel.High)
 		s.disks[i].temp = thermal.NewTracker(cfg.Thermal, diskmodel.High)
 	}
-
-	ctx := s.ctx
-	if err := cfg.Policy.Init(ctx); err != nil {
-		return nil, fmt.Errorf("array: policy init: %w", err)
+	if err := cfg.Policy.Init(s.ctx); err != nil {
+		return fmt.Errorf("array: policy init: %w", err)
 	}
-	// Every file must be placed. Check in sorted ID order so the reported
-	// file is the lowest unplaced one, not whichever map iteration found.
-	ids := make([]int, 0, len(s.files))
-	for id := range s.files {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, ok := s.place[id]; !ok {
-			return nil, fmt.Errorf("array: policy %q left file %d unplaced", cfg.Policy.Name(), id)
+	// Every file must be placed. Check in ID order so the reported file is
+	// the lowest unplaced one.
+	for _, slot := range s.byID() {
+		if s.place[slot] < 0 {
+			return fmt.Errorf("array: policy %q left file %d unplaced", cfg.Policy.Name(), s.files[slot].ID)
 		}
 	}
 	// Apply initial speeds instantly: Init-time transitions model the
@@ -562,10 +623,27 @@ func Run(cfg Config) (*Result, error) {
 		}
 		ds.pending = nil
 	}
-
-	// Arm initial idle timers.
 	for i := range s.disks {
 		s.armIdleTimer(i)
+	}
+	return nil
+}
+
+// Run executes one simulation and returns its result.
+func Run(cfg Config) (*Result, error) {
+	cfg.setDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := validateCheckpointSpec(&cfg); err != nil {
+		return nil, err
+	}
+	s, err := newSimOn(cfg, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.initPolicy(); err != nil {
+		return nil, err
 	}
 
 	// Schedule the first arrival and epochs.
@@ -620,39 +698,42 @@ func (s *sim) onArrival(e *des.Engine) {
 		}
 	}
 
-	f, ok := s.files[req.FileID]
-	if !ok {
-		s.fail(fmt.Errorf("array: request for unknown file %d", req.FileID))
+	s.admit(req.FileID, req.Arrival, nil)
+}
+
+// admit routes one arriving request for fileID under the policy: a trace
+// arrival, or (with a fleet continuation as done) an attempt a cluster
+// router submitted. arrival is the request's response-time reference.
+func (s *sim) admit(fileID int, arrival float64, done *cont) {
+	slot := s.slot(fileID)
+	if slot < 0 {
+		s.fail(fmt.Errorf("array: request for unknown file %d", fileID))
 		return
 	}
-	s.counts[req.FileID]++
+	f := s.files[slot]
+	s.counts[slot]++
 	ctx := s.ctx
 	s.setHook(hookArrival)
 	defer s.endHook()
 
 	if sp, ok := s.cfg.Policy.(StripePolicy); ok {
-		targets := sp.StripeTargets(ctx, req.FileID)
-		if len(targets) >= 2 {
-			s.dispatchStriped(req.FileID, f.SizeMB, req.Arrival, targets)
+		if targets := sp.StripeTargets(ctx, fileID); len(targets) >= 2 {
+			s.dispatchStriped(fileID, f.SizeMB, arrival, targets, done)
 			return
 		}
 	}
-	target := s.cfg.Policy.TargetDisk(ctx, req.FileID)
+	target := s.cfg.Policy.TargetDisk(ctx, fileID)
 	if target < 0 || target >= len(s.disks) {
 		s.fail(fmt.Errorf("array: policy %q targeted invalid disk %d", s.cfg.Policy.Name(), target))
 		return
 	}
-	s.enqueue(target, op{kind: opUser, fileID: req.FileID, sizeMB: f.SizeMB, arrival: req.Arrival})
+	s.enqueue(target, op{kind: opUser, fileID: fileID, sizeMB: f.SizeMB, arrival: arrival, done: done})
 }
 
 // dispatchStriped fans a request out as equal chunks, one per target disk.
-func (s *sim) dispatchStriped(fileID int, sizeMB, arrival float64, targets []int) {
-	s.dispatchStripedDone(fileID, sizeMB, arrival, targets, nil)
-}
-
-// dispatchStripedDone is dispatchStriped with a fleet continuation attached
-// to the stripe job; done runs once, when the whole request resolves.
-func (s *sim) dispatchStripedDone(fileID int, sizeMB, arrival float64, targets []int, done *cont) {
+// done, when non-nil, is a fleet continuation attached to the stripe job; it
+// runs once, when the whole request resolves.
+func (s *sim) dispatchStriped(fileID int, sizeMB, arrival float64, targets []int, done *cont) {
 	for _, d := range targets {
 		if d < 0 || d >= len(s.disks) {
 			s.fail(fmt.Errorf("array: policy %q striped file %d to invalid disk %d",
@@ -908,7 +989,7 @@ func (s *sim) onEpoch(e *des.Engine) {
 	s.endHook()
 	// Fresh popularity window per epoch (the paper's FPT records counts
 	// "during the current epoch").
-	s.counts = make(map[int]int)
+	clear(s.counts)
 	s.schedule(s.cfg.EpochSeconds, eventRecord{Kind: evEpoch})
 }
 

@@ -56,10 +56,11 @@ type savedRouterEvent struct {
 // clusterState is the fleet checkpoint payload. Ignored clusterSim fields
 // are re-derived on restore: cfg and traceEnd come from the caller's config,
 // eng is reconstructed and carried as Clock/Seq/Fired, members and racks are
-// rebuilt (member state travels in Members), and failure aborts a run before
-// a checkpoint could be written.
+// rebuilt (member state travels in Members), failure aborts a run before
+// a checkpoint could be written, dispatchH is the stateless cached handler
+// and healthy a scratch buffer empty between events.
 //
-//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure
+//simlint:checkpoint-for clusterSim ignore=cfg,eng,members,racks,traceEnd,failure,dispatchH,healthy
 type clusterState struct {
 	Clock float64 `json:"clock"`
 	Seq   uint64  `json:"seq"`
@@ -125,21 +126,13 @@ func (c *clusterSim) buildState() (*clusterState, error) {
 		})
 	}
 
-	// Pending router events, in ascending engine sequence order (the event
-	// ID IS the sequence number). Events owned by members are saved inside
-	// their own payloads.
-	for _, id := range c.eng.PendingIDs() {
-		rec, ok := c.events[id]
-		if !ok {
-			continue
-		}
-		t, ok := c.eng.EventTime(id)
-		if !ok {
-			return nil, fmt.Errorf("cluster: pending event %d has no fire time", id)
-		}
+	// Pending router events, in ascending engine sequence order. Events
+	// owned by members are saved inside their own payloads.
+	for _, pe := range c.events.Pending() {
+		rec := pe.Rec
 		st.Events = append(st.Events, savedRouterEvent{
-			Time: t, Seq: uint64(id),
-			Kind: rec.Kind, Req: rec.Req, Attempt: rec.Attempt,
+			Time: pe.Time, Seq: uint64(pe.ID),
+			Kind: rec.Kind.String(), Req: rec.Req, Attempt: rec.Attempt,
 			Rack: rec.Rack, Shock: rec.Shock, Cause: rec.Cause,
 		})
 	}
@@ -209,6 +202,16 @@ func (c *clusterSim) onCheckpointTick(now float64) {
 	}
 }
 
+// parseRouterKind is the inverse of routerKind.String, for restore.
+func parseRouterKind(name string) (routerKind, error) {
+	for k := revArrival; k <= revCheckpoint; k++ {
+		if routerKinds[k] == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown router event kind %q", name)
+}
+
 // mergeEvent is one saved pending event from any owner of the shared engine,
 // tagged with its original sequence number for the global re-schedule order.
 type mergeEvent struct {
@@ -232,7 +235,7 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 	}
 	if cfg.Checkpoint == nil {
 		for _, se := range st.Events {
-			if se.Kind == revCheckpoint {
+			if se.Kind == revCheckpoint.String() {
 				return nil, fmt.Errorf("cluster: resume: snapshot has pending checkpoint ticks; set Config.Checkpoint to the original interval")
 			}
 		}
@@ -296,8 +299,11 @@ func Resume(cfg Config, stateJSON []byte) (*Result, error) {
 		}
 	}
 	for _, se := range st.Events {
-		se := se
-		rec := routerRecord{Kind: se.Kind, Req: se.Req, Attempt: se.Attempt,
+		kind, err := parseRouterKind(se.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: resume: %w", err)
+		}
+		rec := routerRecord{Kind: kind, Req: se.Req, Attempt: se.Attempt,
 			Rack: se.Rack, Shock: se.Shock, Cause: se.Cause}
 		merged = append(merged, mergeEvent{seq: se.Seq,
 			schedule: func() error { return c.ratErr(se.Time, rec) },

@@ -26,7 +26,8 @@
 //     draw logs.
 //   - No cancellation. Deadline, hedge, and retry events are never removed
 //     from the queue; stale ones fire and no-op against settled request
-//     state. Checkpoints therefore never carry event IDs, only payloads.
+//     state. Checkpoints carry each pending payload with its engine
+//     sequence number, which is all a restore needs to re-queue it in order.
 package cluster
 
 import (
@@ -267,17 +268,14 @@ func (c *Config) Validate() error {
 	return c.Trace.Validate()
 }
 
-// replicaArrays returns the arrays holding file f, primary first.
-func (c *Config) replicaArrays(f int) []int {
-	out := make([]int, c.Replicas)
-	for j := 0; j < c.Replicas; j++ {
-		a := (f + j) % c.Arrays
-		if a < 0 {
-			a += c.Arrays
-		}
-		out[j] = a
+// replicaArray returns the array holding replica j of file f (j = 0 is the
+// primary): replicas sit on consecutive arrays.
+func (c *Config) replicaArray(f, j int) int {
+	a := (f + j) % c.Arrays
+	if a < 0 {
+		a += c.Arrays
 	}
-	return out
+	return a
 }
 
 // memberTrace builds array a's trace: the fleet files placed on it (in fleet
@@ -285,8 +283,8 @@ func (c *Config) replicaArrays(f int) []int {
 func (c *Config) memberTrace(a int) *workload.Trace {
 	t := &workload.Trace{}
 	for _, f := range c.Trace.Files {
-		for _, r := range c.replicaArrays(f.ID) {
-			if r == a {
+		for j := 0; j < c.Replicas; j++ {
+			if c.replicaArray(f.ID, j) == a {
 				t.Files = append(t.Files, f)
 				break
 			}

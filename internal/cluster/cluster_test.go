@@ -362,3 +362,65 @@ func TestFleetLivePublishing(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetOpsPlaneOnOffResultsIdentical: the live ops view is observation
+// only. With FleetLive set, the router evaluates and publishes every
+// candidate's health row; with it nil it skips that work entirely. Both must
+// return the same Result, under the routing policies that read member state
+// and with shocks draining racks.
+func TestFleetOpsPlaneOnOffResultsIdentical(t *testing.T) {
+	tr := fleetTrace(t, 60, 3000, 0.005)
+	for _, rp := range []RoutingPolicy{LeastLoaded, AFRAware} {
+		t.Run(string(rp), func(t *testing.T) {
+			run := func(fl *telemetry.FleetLive) *Result {
+				cfg := resilientConfig(tr)
+				cfg.Routing = rp
+				cfg.FleetLive = fl
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			off, on := run(nil), run(telemetry.NewFleetLive(4))
+			if off.ShocksInjected == 0 {
+				t.Fatal("no rack shock fired; the case exercises no draining")
+			}
+			if !reflect.DeepEqual(off, on) {
+				t.Errorf("ops-on result diverged from ops-off:\noff %+v\non  %+v", off, on)
+			}
+		})
+	}
+}
+
+// TestRouterEventAllocationFree: in steady state a router event — scheduled
+// into the router's slab and fired through its one cached handler — costs
+// no allocation. The events here are a deadline, a retry and a hedge for a
+// request that already settled, which fire and no-op like the stale events
+// of a real run.
+func TestRouterEventAllocationFree(t *testing.T) {
+	cfg := resilientConfig(fleetTrace(t, 20, 100, 0.01))
+	cfg.setDefaults()
+	c, err := newClusterSim(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fire := func() {
+		now := c.eng.Now()
+		c.rat(now+0.1, routerRecord{Kind: revDeadline, Req: 7, Attempt: 1})
+		c.rat(now+0.1, routerRecord{Kind: revRetry, Req: 7, Attempt: 2, Cause: causeTimeout})
+		c.rat(now+0.2, routerRecord{Kind: revHedge, Req: 7, Attempt: 1})
+		c.eng.Run()
+	}
+	fire() // grow the slab, its freelist and the engine heap
+	if allocs := testing.AllocsPerRun(200, fire); allocs != 0 {
+		t.Fatalf("router events allocated %v times per 3 events, want 0", allocs)
+	}
+	if c.failure != nil {
+		t.Fatal(c.failure)
+	}
+	// One explicit warm-up, AllocsPerRun's own, then 200 measured runs.
+	if got := c.eng.Fired(); got != 3*202 {
+		t.Fatalf("fired %d events, want %d", got, 3*202)
+	}
+}

@@ -7,11 +7,12 @@ package cluster
 // sustained silence (hedged attempts), and member data loss (failover).
 //
 // Every router action is a reified routerRecord event on the shared engine,
-// mirroring the array simulator's event table: records are plain data, so a
-// checkpoint serializes the pending set and a resume rebuilds it. Events are
-// never cancelled — a deadline, retry, or hedge that outlives its request
-// fires and no-ops against the settled state — so no event IDs ever need to
-// be persisted.
+// kept in the router's own event slab exactly as the array simulator keeps
+// its records: records are plain data, so a checkpoint serializes the
+// pending set and a resume rebuilds it, and one cached handler dispatches
+// every router event by its slab slot. Events are never cancelled — a
+// deadline, retry, or hedge that outlives its request fires and no-ops
+// against the settled state.
 
 import (
 	"fmt"
@@ -24,16 +25,32 @@ import (
 	"repro/internal/telemetry"
 )
 
+// routerKind names a router record's handler; routerKinds gives the name a
+// checkpoint writes for it, which is also its tracer label.
+type routerKind uint8
+
 // Router event kinds.
 const (
-	revArrival    = "fleet-arrival"
-	revDeadline   = "fleet-deadline"
-	revRetry      = "fleet-retry"
-	revHedge      = "fleet-hedge"
-	revShockStart = "shock-start"
-	revShockEnd   = "shock-end"
-	revCheckpoint = "fleet-checkpoint"
+	revArrival routerKind = iota + 1
+	revDeadline
+	revRetry
+	revHedge
+	revShockStart
+	revShockEnd
+	revCheckpoint
 )
+
+var routerKinds = [...]string{
+	revArrival:    "fleet-arrival",
+	revDeadline:   "fleet-deadline",
+	revRetry:      "fleet-retry",
+	revHedge:      "fleet-hedge",
+	revShockStart: "shock-start",
+	revShockEnd:   "shock-end",
+	revCheckpoint: "fleet-checkpoint",
+}
+
+func (k routerKind) String() string { return routerKinds[k] }
 
 // Decision causes the router declares.
 const (
@@ -56,12 +73,12 @@ const (
 // routerRecord is the serializable description of one scheduled router
 // event. One flat struct covers every kind; unused fields stay zero.
 type routerRecord struct {
-	Kind    string `json:"kind"`
-	Req     uint64 `json:"req,omitempty"`     // arrival: request ID to deliver; deadline/retry/hedge: subject
-	Attempt int    `json:"attempt,omitempty"` // deadline/hedge: attempt watched; retry: attempt to issue
-	Rack    int    `json:"rack,omitempty"`    // shocks: power domain hit
-	Shock   int    `json:"shock,omitempty"`   // shocks: ordinal within the domain
-	Cause   string `json:"cause,omitempty"`   // retry: declared cause (timeout or backpressure)
+	Kind    routerKind
+	Req     uint64 // arrival: request ID to deliver; deadline/retry/hedge: subject
+	Attempt int    // deadline/hedge: attempt watched; retry: attempt to issue
+	Rack    int    // shocks: power domain hit
+	Shock   int    // shocks: ordinal within the domain
+	Cause   string // retry: declared cause (timeout or backpressure)
 }
 
 // reqState tracks one fleet request from arrival to settlement. A request is
@@ -88,8 +105,14 @@ type clusterSim struct {
 	members []*array.Member
 	racks   [][]int // arrays per rack, in index order
 
-	reqs   map[uint64]*reqState
-	events map[des.EventID]routerRecord
+	reqs map[uint64]*reqState
+	// events holds the router's pending records, one slab entry per
+	// scheduled event; dispatchH is the one handler they are all scheduled
+	// with (fire, cached so scheduling allocates no closure).
+	events    des.Slab[routerRecord]
+	dispatchH des.Handler
+	// healthy is eligible's reusable candidate buffer.
+	healthy []int
 
 	// hist is the fleet latency distribution: arrival to FIRST successful
 	// completion, across retries and hedges.
@@ -121,11 +144,11 @@ func newClusterSim(cfg *Config) (*clusterSim, error) {
 		cfg:        cfg,
 		eng:        des.New(),
 		reqs:       make(map[uint64]*reqState),
-		events:     make(map[des.EventID]routerRecord),
 		hist:       hist,
 		shockDepth: make([]int, cfg.Topology.Racks),
 		racks:      make([][]int, cfg.Topology.Racks),
 	}
+	c.dispatchH = c.fire
 	for i := 0; i < cfg.Arrays; i++ {
 		r := cfg.Topology.RackOf(i)
 		c.racks[r] = append(c.racks[r], i)
@@ -186,21 +209,21 @@ func (c *clusterSim) fail(err error) {
 	}
 }
 
-// ratErr schedules rec at absolute time t and registers it in the event
-// table; the wrapper removes the entry when the event fires.
+// ratErr schedules rec at absolute time t, storing it in the router's
+// event slab until it fires.
+//
+//simlint:hotpath
 func (c *clusterSim) ratErr(t float64, rec routerRecord) error {
-	var id des.EventID
-	h := func(e *des.Engine) {
-		delete(c.events, id)
-		c.dispatch(rec, e)
-	}
-	eid, err := c.eng.AtLabeled(t, rec.Kind, h)
-	if err != nil {
-		return err
-	}
-	id = eid
-	c.events[id] = rec
-	return nil
+	return c.events.Schedule(c.eng, t, routerKinds[rec.Kind], c.dispatchH, rec)
+}
+
+// fire is the handler every router event is scheduled with: it takes the
+// firing record out of the slab and dispatches it.
+//
+//simlint:hotpath
+func (c *clusterSim) fire(e *des.Engine) {
+	rec := c.events.Take(e)
+	c.dispatch(&rec, e)
 }
 
 // rat is ratErr with scheduling errors routed to fail.
@@ -210,7 +233,7 @@ func (c *clusterSim) rat(t float64, rec routerRecord) {
 	}
 }
 
-func (c *clusterSim) dispatch(rec routerRecord, e *des.Engine) {
+func (c *clusterSim) dispatch(rec *routerRecord, e *des.Engine) {
 	if c.failure != nil {
 		return
 	}
@@ -231,7 +254,7 @@ func (c *clusterSim) dispatch(rec routerRecord, e *des.Engine) {
 	case revCheckpoint:
 		c.onCheckpointTick(now)
 	default:
-		c.fail(fmt.Errorf("cluster: unknown router event %q", rec.Kind))
+		c.fail(fmt.Errorf("cluster: unknown router event %d", rec.Kind))
 	}
 }
 
@@ -296,7 +319,7 @@ func (c *clusterSim) RequestDone(id uint64, attempt int, now float64, lost bool)
 
 // --- request lifecycle ---
 
-func (c *clusterSim) onFleetArrival(rec routerRecord, now float64) {
+func (c *clusterSim) onFleetArrival(rec *routerRecord, now float64) {
 	reqs := c.cfg.Trace.Requests
 	idx := int(rec.Req) - 1
 	if idx < 0 || idx >= len(reqs) {
@@ -384,7 +407,7 @@ func (c *clusterSim) issueAttempt(id uint64, attempt int, kind int, cause string
 	}
 }
 
-func (c *clusterSim) onDeadline(rec routerRecord, now float64) {
+func (c *clusterSim) onDeadline(rec *routerRecord, now float64) {
 	st := c.reqs[rec.Req]
 	if st == nil || st.done {
 		return
@@ -401,7 +424,7 @@ func (c *clusterSim) onDeadline(rec routerRecord, now float64) {
 	c.publishLive()
 }
 
-func (c *clusterSim) onRetry(rec routerRecord, now float64) {
+func (c *clusterSim) onRetry(rec *routerRecord, now float64) {
 	st := c.reqs[rec.Req]
 	if st == nil {
 		return
@@ -415,7 +438,7 @@ func (c *clusterSim) onRetry(rec routerRecord, now float64) {
 	c.publishLive()
 }
 
-func (c *clusterSim) onHedge(rec routerRecord, now float64) {
+func (c *clusterSim) onHedge(rec *routerRecord, now float64) {
 	st := c.reqs[rec.Req]
 	if st == nil || st.done {
 		return
@@ -475,9 +498,12 @@ func (c *clusterSim) hedgeDelay() float64 {
 
 // eligible partitions a file's replica set into healthy candidates and a
 // draining count (ejected members appear in neither), publishing each
-// evaluated member's health row to the ops plane.
+// evaluated member's health row to the ops plane. The candidates live in
+// the router's reusable buffer, valid until the next call.
 func (c *clusterSim) eligible(file int) (healthy []int, draining int) {
-	for _, a := range c.cfg.replicaArrays(file) {
+	healthy = c.healthy[:0]
+	for j := 0; j < c.cfg.Replicas; j++ {
+		a := c.cfg.replicaArray(file, j)
 		switch c.evalHealth(a) {
 		case telemetry.ArrayHealthy:
 			healthy = append(healthy, a)
@@ -485,6 +511,7 @@ func (c *clusterSim) eligible(file int) (healthy []int, draining int) {
 			draining++
 		}
 	}
+	c.healthy = healthy
 	return healthy, draining
 }
 
@@ -502,7 +529,9 @@ func (c *clusterSim) evalHealth(a int) string {
 	case c.cfg.MaxBacklog > 0 && m.Backlog() > c.cfg.MaxBacklog:
 		h = telemetry.ArrayDraining
 	}
-	c.cfg.FleetLive.PublishArray(a, h, m.Backlog(), m.FailedDisks(), m.Rebuilding(), m.PeekWorstAFR())
+	if c.cfg.FleetLive != nil {
+		c.cfg.FleetLive.PublishArray(a, h, m.Backlog(), m.FailedDisks(), m.Rebuilding(), m.PeekWorstAFR())
+	}
 	return h
 }
 
@@ -532,7 +561,7 @@ func (c *clusterSim) pick(cands []int, id uint64, attempt int) int {
 
 // --- correlated shocks ---
 
-func (c *clusterSim) onShockStart(rec routerRecord) {
+func (c *clusterSim) onShockStart(rec *routerRecord) {
 	c.shocks++
 	c.shockDepth[rec.Rack]++
 	if c.shockDepth[rec.Rack] == 1 {
@@ -551,7 +580,7 @@ func (c *clusterSim) onShockStart(rec routerRecord) {
 	c.publishLive()
 }
 
-func (c *clusterSim) onShockEnd(rec routerRecord) {
+func (c *clusterSim) onShockEnd(rec *routerRecord) {
 	c.shockDepth[rec.Rack]--
 	if c.shockDepth[rec.Rack] == 0 {
 		// Power restored: re-heat — spin every disk back up.

@@ -6,6 +6,13 @@
 // monotone sequence number), which makes every simulation run fully
 // deterministic for a fixed input.
 //
+// Every event is stored once, by value, in the engine's heap. An event
+// carries an opaque uint32 slot for its owner (AtSlot, FiringSlot): owners
+// keep their event payloads in a Slab indexed by that slot and schedule
+// every event with one cached handler, so firing an event is a slice index
+// and scheduling allocates nothing in steady state. Events cannot be
+// cancelled; an owner that no longer wants one lets it fire and no-op.
+//
 // The kernel is single-threaded by design: disk-array simulations are
 // causally ordered and the profitable parallelism lives one level up, across
 // independent simulation runs (parameter sweeps), not inside one run.
@@ -15,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -37,8 +43,6 @@ type Tracer interface {
 	EventScheduled(id uint64, label string, at, now float64)
 	// EventFired fires after an event's handler returns.
 	EventFired(id uint64, label string, at float64, wallNanos int64)
-	// EventCanceled fires when a pending event is canceled.
-	EventCanceled(id uint64, label string, now float64)
 }
 
 // SpanTracer is an optional Tracer extension for logical intervals that are
@@ -50,121 +54,77 @@ type SpanTracer interface {
 	Span(label string, start, end float64)
 }
 
-// EventID identifies a scheduled event for cancellation. The zero EventID is
-// never issued.
+// EventID is a scheduled event's engine sequence number: it names the event
+// in tracer output and fixes its FIFO position among same-instant events, so
+// a checkpoint that records it can restore the original tie order. The zero
+// EventID is never issued. Events cannot be cancelled; an owner that no
+// longer wants one lets it fire and no-op.
 type EventID uint64
 
-// ErrStalled is returned by Run when the event queue drains before the
-// requested end time was reached with RunUntil semantics. It is informational
-// rather than fatal: a drained queue simply means the simulation reached
-// quiescence early.
-var ErrStalled = errors.New("des: event queue drained before end time")
-
+// event is one queued event, stored by value in the heap: the heap slice is
+// the only copy, so scheduling allocates nothing once it has grown to the
+// peak queue depth.
 type event struct {
-	time     float64
-	seq      uint64 // FIFO tie-breaker and identity
-	handler  Handler
-	label    string // tracer annotation; "" for unlabeled events
-	canceled bool
-	index    int // heap index, -1 once popped
+	time    float64
+	seq     uint64 // FIFO tie-breaker and identity
+	handler Handler
+	label   string // tracer annotation; "" for unlabeled events
+	slot    uint32 // owner's opaque record index, read back via FiringSlot
 }
 
-// eventHeap is a binary min-heap ordered by (time, seq), flattened into
-// direct sift methods rather than container/heap: the interface-based API
-// boxes every element through `any` and cannot be inlined, and push/pop is
-// the kernel's innermost loop. Index maintenance mirrors container/heap so
-// Remove-by-index still works for Cancel.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events by (time, seq).
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+// eventHeap is a binary min-heap ordered by (time, seq), with direct sift
+// methods rather than container/heap: the interface-based API boxes every
+// element through `any` and cannot be inlined, and push/pop is the kernel's
+// innermost loop. Sifts move a hole instead of swapping, so each level costs
+// one element copy.
+type eventHeap []event
 
-// siftUp restores the heap property after an insertion at index i.
+// up restores the heap property after an insertion at index i.
 //
 //simlint:hotpath
-func (h eventHeap) siftUp(i int) {
+func (h eventHeap) up(i int) {
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !ev.before(&h[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ev
 }
 
-// siftDown restores the heap property after the element at index i shrank
-// in priority. It reports whether the element moved.
+// down restores the heap property after the element at index i grew.
 //
 //simlint:hotpath
-func (h eventHeap) siftDown(i int) bool {
-	start := i
+func (h eventHeap) down(i int) {
 	n := len(h)
+	ev := h[i]
 	for {
 		left := 2*i + 1
 		if left >= n || left < 0 { // left < 0 after int overflow
 			break
 		}
 		child := left
-		if right := left + 1; right < n && h.less(right, left) {
+		if right := left + 1; right < n && h[right].before(&h[left]) {
 			child = right
 		}
-		if !h.less(child, i) {
+		if !h[child].before(&ev) {
 			break
 		}
-		h.swap(i, child)
+		h[i] = h[child]
 		i = child
 	}
-	return i > start
-}
-
-// push inserts ev, maintaining heap order.
-//
-//simlint:hotpath
-func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
-	*h = append(*h, ev)
-	h.siftUp(ev.index)
-}
-
-// pop removes and returns the earliest event.
-//
-//simlint:hotpath
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old) - 1
-	old.swap(0, n)
-	ev := old[n]
-	old[n] = nil
-	ev.index = -1
-	*h = old[:n]
-	h.siftDown(0)
-	return ev
-}
-
-// remove deletes the event at index i (container/heap.Remove, inlined).
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	if i != n {
-		old.swap(i, n)
-	}
-	old[n].index = -1
-	old[n] = nil
-	*h = old[:n]
-	if i < n && !(*h).siftDown(i) {
-		(*h).siftUp(i)
-	}
+	h[i] = ev
 }
 
 // Engine is a discrete-event simulation engine. The zero value is ready to
@@ -172,41 +132,14 @@ func (h *eventHeap) remove(i int) {
 type Engine struct {
 	now       float64
 	seq       uint64
-	queue     eventHeap
-	free      []*event // recycled event records; see alloc/recycle
-	firing    EventID  // ID of the event whose handler is running; 0 between events
-	pending   map[EventID]*event
+	queue     eventHeap // every pending event, exactly once
+	firing    uint32    // slot of the event whose handler is running
 	fired     uint64
 	stopped   bool
 	tracer    Tracer
 	spans     SpanTracer // tracer's SpanTracer side, cached; nil when absent
 	watch     *Watch     // live ops view; nil when no observer is attached
 	lastLabel string     // label of the most recently fired event
-}
-
-// alloc returns a zeroed event record, reusing a recycled one when
-// available so steady-state scheduling allocates nothing.
-//
-//simlint:hotpath
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = event{}
-		return ev
-	}
-	return &event{} //simlint:allow hotalloc -- freelist grow path: runs once per peak-queue-depth slot, then never again
-}
-
-// recycle returns a popped event record to the freelist. The caller must
-// hold the only reference: records are recycled after their handler ran or
-// after cancellation, and EventIDs never dangle because identity lives in
-// the pending map, not the record.
-//
-//simlint:hotpath
-func (e *Engine) recycle(ev *event) {
-	e.free = append(e.free, ev)
 }
 
 // SetTracer installs (or, with nil, removes) the engine's activity tracer.
@@ -231,15 +164,7 @@ func (e *Engine) EmitSpan(label string, start, end float64) {
 func (e *Engine) SetWatch(w *Watch) { e.watch = w }
 
 // New returns an engine with its clock at zero.
-func New() *Engine {
-	return &Engine{pending: make(map[EventID]*event)}
-}
-
-func (e *Engine) ensure() {
-	if e.pending == nil {
-		e.pending = make(map[EventID]*event)
-	}
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -247,144 +172,81 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled, not-yet-fired, not-canceled
-// events.
-func (e *Engine) Pending() int { return len(e.pending) }
-
-// Schedule arranges for h to run delay seconds after the current virtual
-// time. A negative delay is an error because it would rewind causality;
-// a zero delay fires at the current instant, after all events already
-// scheduled for that instant.
-func (e *Engine) Schedule(delay float64, h Handler) (EventID, error) {
-	return e.ScheduleLabeled(delay, "", h)
+// AtLabeled arranges for h to run at absolute virtual time t, which must not
+// be in the past, with a tracer label attached. Labels should be constant
+// strings ("arrival", "service", ...): attaching one costs nothing and gives
+// the event trace readable handler names. It is AtSlot with slot 0.
+func (e *Engine) AtLabeled(t float64, label string, h Handler) (EventID, error) {
+	return e.AtSlot(t, label, h, 0)
 }
 
-// ScheduleLabeled is Schedule with a tracer label attached to the event.
-// Labels should be constant strings ("arrival", "service", ...): attaching
-// one costs nothing and gives the event trace readable handler names.
-func (e *Engine) ScheduleLabeled(delay float64, label string, h Handler) (EventID, error) {
-	if delay < 0 || math.IsNaN(delay) {
-		return 0, fmt.Errorf("des: negative or NaN delay %v", delay)
-	}
-	return e.AtLabeled(e.now+delay, label, h)
-}
-
-// MustSchedule is Schedule for delays the caller has already validated;
-// it panics on a negative or NaN delay, which always indicates a programming
-// error in the model rather than bad input.
-func (e *Engine) MustSchedule(delay float64, h Handler) EventID {
-	return e.MustScheduleLabeled(delay, "", h)
-}
-
-// MustScheduleLabeled is MustSchedule with a tracer label.
-func (e *Engine) MustScheduleLabeled(delay float64, label string, h Handler) EventID {
-	id, err := e.ScheduleLabeled(delay, label, h)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
-// At arranges for h to run at absolute virtual time t, which must not be in
-// the past.
-func (e *Engine) At(t float64, h Handler) (EventID, error) {
-	return e.AtLabeled(t, "", h)
-}
-
-// AtLabeled is At with a tracer label. It is the kernel's scheduling hot
-// path: one call per simulated event, allocation-free in steady state
-// thanks to the event freelist.
+// AtSlot is AtLabeled with an opaque owner slot carried on the event and
+// returned by FiringSlot while its handler runs. An owner that keeps its
+// event payloads in a slab schedules every event with one cached handler
+// and the payload's slab index, so dispatch is a slice index and scheduling
+// allocates no per-event closure. It is the kernel's scheduling hot path:
+// one call per simulated event, allocation-free once the queue has grown.
 //
 //simlint:hotpath
-func (e *Engine) AtLabeled(t float64, label string, h Handler) (EventID, error) {
+func (e *Engine) AtSlot(t float64, label string, h Handler, slot uint32) (EventID, error) {
 	if h == nil {
 		return 0, errors.New("des: nil handler")
 	}
 	if t < e.now || math.IsNaN(t) {
 		return 0, fmt.Errorf("des: schedule time %v is before now %v", t, e.now) //simlint:allow hotalloc -- error branch: fires once on a caller bug, never in steady state
 	}
-	e.ensure()
 	e.seq++
-	ev := e.alloc()
-	ev.time, ev.seq, ev.handler, ev.label = t, e.seq, h, label
-	e.queue.push(ev)
-	id := EventID(ev.seq)
-	e.pending[id] = ev
+	e.queue = append(e.queue, event{time: t, seq: e.seq, handler: h, label: label, slot: slot})
+	e.queue.up(len(e.queue) - 1)
 	if e.tracer != nil {
-		e.tracer.EventScheduled(ev.seq, label, t, e.now)
+		e.tracer.EventScheduled(e.seq, label, t, e.now)
 	}
-	return id, nil
-}
-
-// Cancel removes a scheduled event. Canceling an event that already fired,
-// was already canceled, or never existed reports false.
-func (e *Engine) Cancel(id EventID) bool {
-	ev, ok := e.pending[id]
-	if !ok {
-		return false
-	}
-	delete(e.pending, id)
-	ev.canceled = true
-	if e.tracer != nil {
-		e.tracer.EventCanceled(ev.seq, ev.label, e.now)
-	}
-	// A pending event is always still queued (index >= 0); the guard only
-	// protects against a record popped concurrently, which cannot happen
-	// on this single-threaded engine.
-	if ev.index >= 0 {
-		e.queue.remove(ev.index)
-		e.recycle(ev)
-	}
-	return true
+	return EventID(e.seq), nil
 }
 
 // Stop makes the current Run call return after the in-flight event handler
 // finishes. Scheduled events remain queued and a later Run resumes them.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step fires the single earliest pending event, advancing the clock to its
+// step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty. While the handler
-// runs, FiringID reports the event's ID; the record itself is recycled to
-// the freelist once the handler (and tracer) are done with it.
+// runs, FiringSlot reports the slot the event was scheduled with.
 //
 //simlint:hotpath
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		id := EventID(ev.seq)
-		delete(e.pending, id)
-		e.now = ev.time
-		e.fired++
-		e.lastLabel = ev.label
-		e.firing = id
-		if tr := e.tracer; tr != nil {
-			start := time.Now() //simlint:allow detrand -- wall-clock handler timing feeds the trace file only, never simulation state
-			ev.handler(e)
-			tr.EventFired(ev.seq, ev.label, ev.time, time.Since(start).Nanoseconds()) //simlint:allow detrand -- see above
-		} else {
-			ev.handler(e)
-		}
-		e.firing = 0
-		e.recycle(ev)
-		return true
+func (e *Engine) step() bool {
+	n := len(e.queue) - 1
+	if n < 0 {
+		return false
 	}
-	return false
+	ev := e.queue[0]
+	e.queue[0] = e.queue[n]
+	e.queue[n] = event{} // drop the handler and label references
+	e.queue = e.queue[:n]
+	if n > 0 {
+		e.queue.down(0)
+	}
+	e.now = ev.time
+	e.fired++
+	e.lastLabel = ev.label
+	e.firing = ev.slot
+	if tr := e.tracer; tr != nil {
+		start := time.Now() //simlint:allow detrand -- wall-clock handler timing feeds the trace file only, never simulation state
+		ev.handler(e)
+		tr.EventFired(ev.seq, ev.label, ev.time, time.Since(start).Nanoseconds()) //simlint:allow detrand -- see above
+	} else {
+		ev.handler(e)
+	}
+	return true
 }
 
-// FiringID returns the ID of the event whose handler is currently running,
-// or 0 between events. Dispatchers that demultiplex one shared handler over
-// many scheduled events key their lookup on it, which lets them schedule a
-// single cached closure instead of allocating one closure per event.
-func (e *Engine) FiringID() EventID { return e.firing }
+// FiringSlot returns the slot the currently running event was scheduled
+// with (see AtSlot); between events it holds the last fired event's slot.
+func (e *Engine) FiringSlot() uint32 { return e.firing }
 
 // Run fires events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.stopped && e.step() {
 	}
 }
 
@@ -404,8 +266,8 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 	var streak uint64
 	last := math.Inf(-1)
 	for !e.stopped {
-		if !e.Step() {
-			e.watch.publish(e.now, e.fired, uint64(len(e.pending)), streak, e.lastLabel)
+		if !e.step() {
+			e.watch.publish(e.now, e.fired, uint64(len(e.queue)), streak, e.lastLabel)
 			return nil
 		}
 		if e.now != last {
@@ -415,14 +277,14 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 			streak++
 		}
 		if w := e.watch; w != nil {
-			w.publish(e.now, e.fired, uint64(len(e.pending)), streak, e.lastLabel)
+			w.publish(e.now, e.fired, uint64(len(e.queue)), streak, e.lastLabel)
 		}
 		if streak >= stallLimit {
 			serr := &StallError{
 				Streak:    streak,
 				SimTime:   e.now,
 				Fired:     e.fired,
-				Pending:   len(e.pending),
+				Pending:   len(e.queue),
 				LastLabel: e.lastLabel,
 			}
 			e.watch.setStall(serr)
@@ -432,68 +294,18 @@ func (e *Engine) RunGuarded(stallLimit uint64) error {
 	return nil
 }
 
-// RunUntil fires events with timestamps <= end, then sets the clock to end.
-// It returns ErrStalled if the queue drained strictly before end (the clock
-// is still advanced to end so energy integration over wall time stays
-// consistent).
-func (e *Engine) RunUntil(end float64) error {
-	if end < e.now {
-		return fmt.Errorf("des: end time %v is before now %v", end, e.now)
-	}
-	e.stopped = false
-	for !e.stopped {
-		next, ok := e.peek()
-		if !ok {
-			stalled := e.now < end
-			e.now = end
-			if stalled {
-				return ErrStalled
-			}
-			return nil
-		}
-		if next > end {
-			e.now = end
-			return nil
-		}
-		e.Step()
-	}
-	return nil
-}
-
 // Seq returns the engine's monotone event sequence counter: the number of
 // events ever scheduled. Together with Fired it pins an engine's position in
 // its deterministic trajectory, which is what checkpoint/restore preserves.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// PendingIDs returns the IDs of all live (scheduled, not fired, not
-// canceled) events in ascending sequence order — i.e. the order they were
-// originally scheduled. A checkpoint serializes pending events in this order
-// so a restore can re-schedule them with identical FIFO tie-breaking.
-func (e *Engine) PendingIDs() []EventID {
-	ids := make([]EventID, 0, len(e.pending))
-	for id := range e.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// EventTime returns the absolute virtual time a pending event will fire at.
-func (e *Engine) EventTime(id EventID) (float64, bool) {
-	ev, ok := e.pending[id]
-	if !ok {
-		return 0, false
-	}
-	return ev.time, true
-}
-
 // BeginRestore prepares a fresh engine to be reloaded from a checkpoint
 // taken at virtual time now. It is only valid on an engine that has never
 // scheduled or fired anything; the caller then re-schedules the snapshot's
 // pending events (in their original sequence order, at their original
-// absolute times, via At/AtLabeled) and calls FinishRestore.
+// absolute times) and calls FinishRestore.
 func (e *Engine) BeginRestore(now float64) error {
-	if e.seq != 0 || e.fired != 0 || len(e.pending) != 0 {
+	if e.seq != 0 || e.fired != 0 || len(e.queue) != 0 {
 		return errors.New("des: BeginRestore requires a fresh engine")
 	}
 	if now < 0 || math.IsNaN(now) {
@@ -514,16 +326,4 @@ func (e *Engine) FinishRestore(seq, fired uint64) error {
 	e.seq = seq
 	e.fired = fired
 	return nil
-}
-
-// peek returns the timestamp of the earliest live event.
-func (e *Engine) peek() (float64, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].canceled {
-			e.recycle(e.queue.pop())
-			continue
-		}
-		return e.queue[0].time, true
-	}
-	return 0, false
 }

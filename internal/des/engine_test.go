@@ -11,8 +11,8 @@ import (
 func TestZeroValueReady(t *testing.T) {
 	var e Engine
 	ran := false
-	if _, err := e.Schedule(1, func(*Engine) { ran = true }); err != nil {
-		t.Fatalf("Schedule on zero value: %v", err)
+	if _, err := e.AtLabeled(1, "", func(*Engine) { ran = true }); err != nil {
+		t.Fatalf("AtLabeled on zero value: %v", err)
 	}
 	e.Run()
 	if !ran {
@@ -28,7 +28,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var got []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
 		d := d
-		e.MustSchedule(d, func(en *Engine) { got = append(got, en.Now()) })
+		after(e, d, func(en *Engine) { got = append(got, en.Now()) })
 	}
 	e.Run()
 	if !sort.Float64sAreSorted(got) {
@@ -44,7 +44,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.MustSchedule(7, func(*Engine) { order = append(order, i) })
+		after(e, 7, func(*Engine) { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -57,11 +57,11 @@ func TestFIFOTieBreaking(t *testing.T) {
 func TestZeroDelayFiresAfterCurrentInstant(t *testing.T) {
 	e := New()
 	var order []string
-	e.MustSchedule(1, func(en *Engine) {
+	after(e, 1, func(en *Engine) {
 		order = append(order, "first")
-		en.MustSchedule(0, func(*Engine) { order = append(order, "nested") })
+		after(en, 0, func(*Engine) { order = append(order, "nested") })
 	})
-	e.MustSchedule(1, func(*Engine) { order = append(order, "second") })
+	after(e, 1, func(*Engine) { order = append(order, "second") })
 	e.Run()
 	want := []string{"first", "second", "nested"}
 	for i := range want {
@@ -73,134 +73,31 @@ func TestZeroDelayFiresAfterCurrentInstant(t *testing.T) {
 
 func TestNegativeDelayRejected(t *testing.T) {
 	e := New()
-	if _, err := e.Schedule(-1, func(*Engine) {}); err == nil {
-		t.Fatal("negative delay accepted")
+	after(e, 2, func(*Engine) {})
+	e.Run()
+	if _, err := e.AtLabeled(1, "", func(*Engine) {}); err == nil {
+		t.Fatal("time before now accepted")
 	}
-	if _, err := e.Schedule(math.NaN(), func(*Engine) {}); err == nil {
-		t.Fatal("NaN delay accepted")
+	if _, err := e.AtLabeled(math.NaN(), "", func(*Engine) {}); err == nil {
+		t.Fatal("NaN time accepted")
 	}
-	if _, err := e.At(-0.5, func(*Engine) {}); err == nil {
+	if _, err := New().AtSlot(-0.5, "", func(*Engine) {}, 3); err == nil {
 		t.Fatal("past absolute time accepted")
 	}
 }
 
 func TestNilHandlerRejected(t *testing.T) {
 	e := New()
-	if _, err := e.At(1, nil); err == nil {
+	if _, err := e.AtLabeled(1, "", nil); err == nil {
 		t.Fatal("nil handler accepted")
-	}
-}
-
-func TestMustSchedulePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSchedule did not panic on negative delay")
-		}
-	}()
-	New().MustSchedule(-1, func(*Engine) {})
-}
-
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	id := e.MustSchedule(1, func(*Engine) { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel reported false for live event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("double Cancel reported true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after cancel+run, want 0", e.Pending())
-	}
-}
-
-func TestCancelFromWithinHandler(t *testing.T) {
-	e := New()
-	fired := false
-	var victim EventID
-	victim = e.MustSchedule(2, func(*Engine) { fired = true })
-	e.MustSchedule(1, func(en *Engine) {
-		if !en.Cancel(victim) {
-			t.Error("in-handler cancel failed")
-		}
-	})
-	e.Run()
-	if fired {
-		t.Fatal("event canceled from a handler still fired")
-	}
-}
-
-func TestCancelUnknownID(t *testing.T) {
-	e := New()
-	if e.Cancel(12345) {
-		t.Fatal("Cancel of unknown id reported true")
-	}
-}
-
-func TestRunUntilAdvancesClockToEnd(t *testing.T) {
-	e := New()
-	e.MustSchedule(1, func(*Engine) {})
-	if err := e.RunUntil(10); err != ErrStalled {
-		t.Fatalf("RunUntil = %v, want ErrStalled", err)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v, want 10", e.Now())
-	}
-}
-
-func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
-	e := New()
-	fired := 0
-	e.MustSchedule(1, func(*Engine) { fired++ })
-	e.MustSchedule(5, func(*Engine) { fired++ })
-	if err := e.RunUntil(2); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d at t=2, want 1", fired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d after Run, want 2", fired)
-	}
-}
-
-func TestRunUntilBoundaryInclusive(t *testing.T) {
-	e := New()
-	fired := false
-	e.MustSchedule(3, func(*Engine) { fired = true })
-	if err := e.RunUntil(3); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if !fired {
-		t.Fatal("event at exactly end time did not fire")
-	}
-}
-
-func TestRunUntilPastRejected(t *testing.T) {
-	e := New()
-	e.MustSchedule(5, func(*Engine) {})
-	if err := e.RunUntil(5); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if err := e.RunUntil(1); err == nil {
-		t.Fatal("RunUntil into the past accepted")
 	}
 }
 
 func TestStop(t *testing.T) {
 	e := New()
 	fired := 0
-	e.MustSchedule(1, func(en *Engine) { fired++; en.Stop() })
-	e.MustSchedule(2, func(*Engine) { fired++ })
+	after(e, 1, func(en *Engine) { fired++; en.Stop() })
+	after(e, 2, func(*Engine) { fired++ })
 	e.Run()
 	if fired != 1 {
 		t.Fatalf("fired = %d after Stop, want 1", fired)
@@ -218,10 +115,10 @@ func TestChainedScheduling(t *testing.T) {
 	tick = func(en *Engine) {
 		count++
 		if count < 100 {
-			en.MustSchedule(0.5, tick)
+			after(en, 0.5, tick)
 		}
 	}
-	e.MustSchedule(0.5, tick)
+	after(e, 0.5, tick)
 	e.Run()
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
@@ -239,15 +136,10 @@ func TestDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := New()
 		var trace []float64
-		var ids []EventID
 		for i := 0; i < 500; i++ {
-			id := e.MustSchedule(rng.Float64()*100, func(en *Engine) {
+			after(e, rng.Float64()*100, func(en *Engine) {
 				trace = append(trace, en.Now())
 			})
-			ids = append(ids, id)
-		}
-		for i := 0; i < 100; i++ {
-			e.Cancel(ids[rng.Intn(len(ids))])
 		}
 		e.Run()
 		return trace
@@ -275,10 +167,10 @@ func TestPropertyFireTimesAreSortedDelays(t *testing.T) {
 				continue
 			}
 			want = append(want, d)
-			e.MustSchedule(d, func(*Engine) {})
+			after(e, d, func(*Engine) {})
 		}
 		var got []float64
-		for e.Step() {
+		for e.step() {
 			got = append(got, e.Now())
 		}
 		sort.Float64s(want)
@@ -297,33 +189,51 @@ func TestPropertyFireTimesAreSortedDelays(t *testing.T) {
 	}
 }
 
-// Property: canceling a random subset leaves exactly the complement firing.
-func TestPropertyCancelComplement(t *testing.T) {
-	f := func(n uint8, mask uint64) bool {
+// Property: every event carries the slot it was scheduled with, and
+// FiringSlot reads it back while the handler runs, whatever order the heap
+// fires the events in.
+func TestPropertySlotsReadBack(t *testing.T) {
+	f := func(delays []uint8) bool {
 		e := New()
-		total := int(n%64) + 1
-		fired := make([]bool, total)
-		ids := make([]EventID, total)
-		for i := 0; i < total; i++ {
-			i := i
-			ids[i] = e.MustSchedule(float64(i), func(*Engine) { fired[i] = true })
-		}
-		for i := 0; i < total; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				e.Cancel(ids[i])
+		ok := true
+		h := func(en *Engine) {
+			slot := en.FiringSlot()
+			if float64(delays[slot]) != en.Now() {
+				ok = false
 			}
 		}
-		e.Run()
-		for i := 0; i < total; i++ {
-			wantFired := mask&(1<<uint(i)) == 0
-			if fired[i] != wantFired {
+		for i, d := range delays {
+			if _, err := e.AtSlot(float64(d), "", h, uint32(i)); err != nil {
 				return false
 			}
 		}
-		return true
+		e.Run()
+		return ok && e.Fired() == uint64(len(delays))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// EventIDs are the engine's sequence numbers: consecutive, never zero, and
+// the same through AtLabeled and AtSlot.
+func TestEventIDsAreSequenceNumbers(t *testing.T) {
+	e := New()
+	h := func(*Engine) {}
+	for want := EventID(1); want <= 5; want++ {
+		var id EventID
+		var err error
+		if want%2 == 0 {
+			id, err = e.AtSlot(1, "", h, uint32(want))
+		} else {
+			id, err = e.AtLabeled(1, "", h)
+		}
+		if err != nil || id != want {
+			t.Fatalf("event %d got id %d (err %v)", want, id, err)
+		}
+	}
+	if e.Seq() != 5 {
+		t.Fatalf("Seq = %d, want 5", e.Seq())
 	}
 }
 
@@ -332,13 +242,13 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	h := func(*Engine) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.MustSchedule(float64(i%97)*0.001, h)
+		after(e, float64(i%97)*0.001, h)
 		if i%64 == 63 {
-			for e.Step() {
+			for e.step() {
 			}
 		}
 	}
-	for e.Step() {
+	for e.step() {
 	}
 }
 
@@ -351,10 +261,10 @@ func BenchmarkHotLoop(b *testing.B) {
 	tick = func(en *Engine) {
 		n++
 		if n < b.N {
-			en.MustSchedule(0.001, tick)
+			after(en, 0.001, tick)
 		}
 	}
-	e.MustSchedule(0.001, tick)
+	after(e, 0.001, tick)
 	b.ResetTimer()
 	e.Run()
 }
@@ -364,8 +274,8 @@ func TestRunGuardedDetectsStall(t *testing.T) {
 	// A handler that reschedules itself with zero delay forever: virtual
 	// time never advances, so an unguarded Run would spin indefinitely.
 	var spin Handler
-	spin = func(en *Engine) { en.MustSchedule(0, spin) }
-	e.MustSchedule(1, spin)
+	spin = func(en *Engine) { after(en, 0, spin) }
+	after(e, 1, spin)
 	err := e.RunGuarded(1000)
 	if err == nil {
 		t.Fatal("expected watchdog error for zero-delay self-rescheduling loop")
@@ -382,10 +292,10 @@ func TestRunGuardedPassesHealthyLoop(t *testing.T) {
 	tick = func(en *Engine) {
 		n++
 		if n < 5000 {
-			en.MustSchedule(0.001, tick)
+			after(en, 0.001, tick)
 		}
 	}
-	e.MustSchedule(0.001, tick)
+	after(e, 0.001, tick)
 	if err := e.RunGuarded(10); err != nil {
 		t.Fatalf("healthy advancing loop tripped the watchdog: %v", err)
 	}
@@ -398,7 +308,7 @@ func TestRunGuardedAllowsBoundedBursts(t *testing.T) {
 	e := New()
 	fired := 0
 	for i := 0; i < 50; i++ {
-		e.MustSchedule(1, func(*Engine) { fired++ }) // same-instant burst
+		after(e, 1, func(*Engine) { fired++ }) // same-instant burst
 	}
 	if err := e.RunGuarded(100); err != nil {
 		t.Fatalf("burst below the limit tripped the watchdog: %v", err)
@@ -412,4 +322,18 @@ func TestRunGuardedZeroLimitRejected(t *testing.T) {
 	if err := New().RunGuarded(0); err == nil {
 		t.Fatal("expected error for zero stall limit")
 	}
+}
+
+// after schedules h d seconds from now, panicking on a rejected time.
+func after(e *Engine, d float64, h Handler) EventID {
+	return afterLabeled(e, d, "", h)
+}
+
+// afterLabeled is after with a tracer label.
+func afterLabeled(e *Engine, d float64, label string, h Handler) EventID {
+	id, err := e.AtLabeled(e.Now()+d, label, h)
+	if err != nil {
+		panic(err)
+	}
+	return id
 }

@@ -26,7 +26,7 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 		{
 			name: "zero stall limit is an already-expired deadline",
 			setup: func(e *Engine) {
-				e.MustSchedule(1, func(*Engine) {})
+				after(e, 1, func(*Engine) {})
 			},
 			stallLimit: 0,
 			wantErr:    "stall limit must be positive",
@@ -36,9 +36,9 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 			name: "burst below the limit is fine",
 			setup: func(e *Engine) {
 				for i := 0; i < 4; i++ {
-					e.MustSchedule(0, func(*Engine) {})
+					after(e, 0, func(*Engine) {})
 				}
-				e.MustSchedule(1, func(*Engine) {})
+				after(e, 1, func(*Engine) {})
 			},
 			stallLimit: 5,
 			wantErr:    "",
@@ -52,7 +52,7 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 			// the drained queue mask it.
 			setup: func(e *Engine) {
 				for i := 0; i < 3; i++ {
-					e.MustSchedule(0, func(*Engine) {})
+					after(e, 0, func(*Engine) {})
 				}
 			},
 			stallLimit: 3,
@@ -63,8 +63,8 @@ func TestRunGuardedEdgeCases(t *testing.T) {
 			name: "self-rescheduling handler trips the watchdog",
 			setup: func(e *Engine) {
 				var loop Handler
-				loop = func(e *Engine) { e.MustSchedule(0, loop) }
-				e.MustSchedule(0, loop)
+				loop = func(e *Engine) { after(e, 0, loop) }
+				after(e, 0, loop)
 			},
 			stallLimit: 50,
 			wantErr:    "event loop stalled",
@@ -103,32 +103,25 @@ func TestRestorePreservesOrdering(t *testing.T) {
 
 	build := func(log *[]string) *Engine {
 		e := New()
-		e.MustSchedule(1, record(log, "a"))
-		e.MustSchedule(2, record(log, "b1"))
-		e.MustSchedule(2, record(log, "b2"))
-		e.MustSchedule(3, record(log, "c"))
+		after(e, 1, record(log, "a"))
+		after(e, 2, record(log, "b1"))
+		after(e, 2, record(log, "b2"))
+		after(e, 3, record(log, "c"))
 		return e
 	}
 
 	orig := build(&origOrder)
-	if !orig.Step() { // fire "a"; b1,b2,c remain pending
+	if !orig.step() { // fire "a"; b1,b2,c remain pending
 		t.Fatal("no event fired")
 	}
 
-	// Snapshot: pending IDs in scheduling order with their absolute times.
+	// Snapshot: the pending events in scheduling order with their absolute
+	// times, as an owner that recorded them at scheduling would save them.
 	type saved struct {
 		t    float64
 		name string
 	}
-	names := map[EventID]string{2: "b1", 3: "b2", 4: "c"}
-	var snap []saved
-	for _, id := range orig.PendingIDs() {
-		at, ok := orig.EventTime(id)
-		if !ok {
-			t.Fatalf("pending event %d has no time", id)
-		}
-		snap = append(snap, saved{at, names[id]})
-	}
+	snap := []saved{{2, "b1"}, {2, "b2"}, {3, "c"}}
 	savedNow, savedSeq, savedFired := orig.Now(), orig.Seq(), orig.Fired()
 
 	// Restore into a fresh engine.
@@ -138,7 +131,7 @@ func TestRestorePreservesOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range snap {
-		if _, err := re.At(s.t, record(&restoredOrder, s.name)); err != nil {
+		if _, err := re.AtLabeled(s.t, "", record(&restoredOrder, s.name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,8 +145,8 @@ func TestRestorePreservesOrdering(t *testing.T) {
 
 	// Schedule one more same-instant event on both engines: it must sort
 	// after the restored t=2 pair in both.
-	orig.MustSchedule(1, record(&origOrder, "late"))
-	re.MustSchedule(1, record(&restoredOrder, "late"))
+	after(orig, 1, record(&origOrder, "late"))
+	after(re, 1, record(&restoredOrder, "late"))
 
 	orig.Run()
 	re.Run()
@@ -168,7 +161,7 @@ func TestRestorePreservesOrdering(t *testing.T) {
 
 func TestBeginRestoreRequiresFreshEngine(t *testing.T) {
 	e := New()
-	e.MustSchedule(1, func(*Engine) {})
+	after(e, 1, func(*Engine) {})
 	if err := e.BeginRestore(5); err == nil {
 		t.Fatal("BeginRestore on a used engine should fail")
 	}
@@ -176,7 +169,7 @@ func TestBeginRestoreRequiresFreshEngine(t *testing.T) {
 	if err := fresh.BeginRestore(5); err != nil {
 		t.Fatal(err)
 	}
-	fresh.MustSchedule(0, func(*Engine) {})
+	after(fresh, 0, func(*Engine) {})
 	if err := fresh.FinishRestore(0, 0); err == nil {
 		t.Fatal("FinishRestore with a too-small seq should fail")
 	}

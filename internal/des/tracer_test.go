@@ -8,7 +8,6 @@ import (
 type recordingTracer struct {
 	scheduled []string
 	fired     []string
-	canceled  []string
 	wallNanos []int64
 }
 
@@ -21,22 +20,17 @@ func (t *recordingTracer) EventFired(id uint64, label string, at float64, wallNa
 	t.wallNanos = append(t.wallNanos, wallNanos)
 }
 
-func (t *recordingTracer) EventCanceled(id uint64, label string, now float64) {
-	t.canceled = append(t.canceled, label)
-}
-
 func TestTracerObservesLifecycle(t *testing.T) {
 	e := New()
 	tr := &recordingTracer{}
 	e.SetTracer(tr)
 
-	e.MustScheduleLabeled(1, "arrival", func(*Engine) {})
-	id := e.MustScheduleLabeled(2, "idle-timer", func(*Engine) {})
-	if _, err := e.AtLabeled(3, "epoch", func(*Engine) {}); err != nil {
+	afterLabeled(e, 1, "arrival", func(*Engine) {})
+	afterLabeled(e, 2, "idle-timer", func(*Engine) {})
+	if _, err := e.AtSlot(3, "epoch", func(*Engine) {}, 9); err != nil {
 		t.Fatal(err)
 	}
-	e.MustSchedule(4, func(*Engine) {}) // unlabeled
-	e.Cancel(id)
+	after(e, 4, func(*Engine) {}) // unlabeled
 	e.Run()
 
 	wantScheduled := []string{"arrival", "idle-timer", "epoch", ""}
@@ -48,7 +42,7 @@ func TestTracerObservesLifecycle(t *testing.T) {
 			t.Fatalf("scheduled = %v, want %v", tr.scheduled, wantScheduled)
 		}
 	}
-	wantFired := []string{"arrival", "epoch", ""}
+	wantFired := []string{"arrival", "idle-timer", "epoch", ""}
 	if len(tr.fired) != len(wantFired) {
 		t.Fatalf("fired = %v, want %v", tr.fired, wantFired)
 	}
@@ -56,9 +50,6 @@ func TestTracerObservesLifecycle(t *testing.T) {
 		if tr.fired[i] != wantFired[i] {
 			t.Fatalf("fired = %v, want %v", tr.fired, wantFired)
 		}
-	}
-	if len(tr.canceled) != 1 || tr.canceled[0] != "idle-timer" {
-		t.Fatalf("canceled = %v, want [idle-timer]", tr.canceled)
 	}
 	for i, ns := range tr.wallNanos {
 		if ns < 0 {
@@ -73,7 +64,7 @@ func TestTracerDoesNotChangeResults(t *testing.T) {
 		e.SetTracer(tr)
 		var times []float64
 		for _, d := range []float64{3, 1, 2, 1} {
-			e.MustScheduleLabeled(d, "tick", func(en *Engine) {
+			afterLabeled(e, d, "tick", func(en *Engine) {
 				times = append(times, en.Now())
 			})
 		}
@@ -95,9 +86,9 @@ func TestSetTracerNilRemoves(t *testing.T) {
 	e := New()
 	tr := &recordingTracer{}
 	e.SetTracer(tr)
-	e.MustScheduleLabeled(1, "a", func(*Engine) {})
+	afterLabeled(e, 1, "a", func(*Engine) {})
 	e.SetTracer(nil)
-	e.MustScheduleLabeled(2, "b", func(*Engine) {})
+	afterLabeled(e, 2, "b", func(*Engine) {})
 	e.Run()
 	if len(tr.scheduled) != 1 || len(tr.fired) != 0 {
 		t.Fatalf("removed tracer still observed events: %+v", tr)
@@ -110,25 +101,18 @@ func TestSetTracerNilRemoves(t *testing.T) {
 func TestStepWithoutTracerDoesNotAllocate(t *testing.T) {
 	e := New()
 	h := func(*Engine) {}
-	// Warm up heap and pending-map capacity so growth doesn't count.
+	// Warm up the heap's capacity so growth doesn't count.
 	for i := 0; i < 1024; i++ {
-		e.MustScheduleLabeled(float64(i), "warm", h)
+		afterLabeled(e, float64(i), "warm", h)
 	}
-	for e.Step() {
+	for e.step() {
 	}
-	ids := make([]EventID, 0, 1024)
 	for i := 0; i < 1024; i++ {
-		ids = append(ids, e.MustScheduleLabeled(float64(2000+i), "hot", h))
+		afterLabeled(e, float64(2000+i), "hot", h)
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if i < len(ids) {
-			e.Step()
-			i++
-		}
-	})
+	allocs := testing.AllocsPerRun(1000, func() { e.step() })
 	if allocs != 0 {
-		t.Fatalf("Step allocated %v times per run with no tracer, want 0", allocs)
+		t.Fatalf("step allocated %v times per run with no tracer, want 0", allocs)
 	}
 }
 
@@ -139,7 +123,6 @@ type nullTracer struct{}
 
 func (nullTracer) EventScheduled(uint64, string, float64, float64) {}
 func (nullTracer) EventFired(uint64, string, float64, int64)       {}
-func (nullTracer) EventCanceled(uint64, string, float64)           {}
 
 func BenchmarkHotLoopTraced(b *testing.B) {
 	e := New()
@@ -149,10 +132,10 @@ func BenchmarkHotLoopTraced(b *testing.B) {
 	tick = func(en *Engine) {
 		n++
 		if n < b.N {
-			en.MustScheduleLabeled(0.001, "tick", tick)
+			afterLabeled(en, 0.001, "tick", tick)
 		}
 	}
-	e.MustScheduleLabeled(0.001, "tick", tick)
+	afterLabeled(e, 0.001, "tick", tick)
 	b.ResetTimer()
 	e.Run()
 }

@@ -14,7 +14,7 @@ func TestWatchPublishesEnginePosition(t *testing.T) {
 	w := NewWatch()
 	e.SetWatch(w)
 	for i := 0; i < 5; i++ {
-		e.MustScheduleLabeled(float64(i), "tick", func(*Engine) {})
+		afterLabeled(e, float64(i), "tick", func(*Engine) {})
 	}
 	if err := e.RunGuarded(100); err != nil {
 		t.Fatal(err)
@@ -48,8 +48,8 @@ func TestWatchStallRecordsStructuredError(t *testing.T) {
 	w := NewWatch()
 	e.SetWatch(w)
 	var loop Handler
-	loop = func(e *Engine) { e.MustScheduleLabeled(0, "spin", loop) }
-	e.MustScheduleLabeled(0, "spin", loop)
+	loop = func(e *Engine) { afterLabeled(e, 0, "spin", loop) }
+	afterLabeled(e, 0, "spin", loop)
 	err := e.RunGuarded(25)
 	if err == nil {
 		t.Fatal("expected a stall error")
@@ -81,7 +81,7 @@ func TestWatchSnapshotConsistentUnderConcurrentReads(t *testing.T) {
 	e.SetWatch(w)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		e.MustScheduleLabeled(float64(i)*1e-3, "tick", func(*Engine) {})
+		afterLabeled(e, float64(i)*1e-3, "tick", func(*Engine) {})
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -133,7 +133,7 @@ func TestWatchNilSafe(t *testing.T) {
 	}
 	e := New()
 	e.SetWatch(nil)
-	e.MustSchedule(0, func(*Engine) {})
+	after(e, 0, func(*Engine) {})
 	if err := e.RunGuarded(10); err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func newGoldenServer(t *testing.T) *Server {
 	watch := des.NewWatch()
 	eng.SetWatch(watch)
 	for i := 0; i < 5; i++ {
-		eng.MustScheduleLabeled(float64(i), "service", func(*des.Engine) {})
+		eng.AtLabeled(float64(i), "service", func(*des.Engine) {})
 	}
 	if err := eng.RunGuarded(1000); err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestServerServesAllEndpoints(t *testing.T) {
 	eng := des.New()
 	watch := des.NewWatch()
 	eng.SetWatch(watch)
-	eng.MustScheduleLabeled(1, "service", func(*des.Engine) {})
+	eng.AtLabeled(1, "service", func(*des.Engine) {})
 	if err := eng.RunGuarded(100); err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestHealthzReportsWatchdogStall(t *testing.T) {
 	watch := des.NewWatch()
 	eng.SetWatch(watch)
 	var loop des.Handler
-	loop = func(e *des.Engine) { e.MustScheduleLabeled(0, "spin", loop) }
-	eng.MustScheduleLabeled(0, "spin", loop)
+	loop = func(e *des.Engine) { e.AtLabeled(e.Now(), "spin", loop) }
+	eng.AtLabeled(0, "spin", loop)
 	if err := eng.RunGuarded(10); err == nil {
 		t.Fatal("expected stall")
 	}
@@ -126,8 +126,8 @@ func TestHealthzReportsSweepCellStall(t *testing.T) {
 	eng := des.New()
 	eng.SetWatch(watch)
 	var loop des.Handler
-	loop = func(e *des.Engine) { e.MustScheduleLabeled(0, "spin", loop) }
-	eng.MustScheduleLabeled(0, "spin", loop)
+	loop = func(e *des.Engine) { e.AtLabeled(e.Now(), "spin", loop) }
+	eng.AtLabeled(0, "spin", loop)
 	if err := eng.RunGuarded(10); err == nil {
 		t.Fatal("expected stall")
 	}

@@ -15,11 +15,60 @@
 package policy
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/array"
 	"repro/internal/workload"
 )
+
+// fileKey is one file's popularity sort key: its access count this epoch,
+// its static access rate, its ID, and its slot — the file's index in
+// Context.Files(), which indexes the policies' per-file tables.
+type fileKey struct {
+	count int
+	rate  float64
+	id    int
+	slot  int
+}
+
+// fileKeys is a policy-owned key slice, refilled each epoch so ranking
+// allocates nothing once it has grown to the file count.
+type fileKeys []fileKey
+
+// load refills the keys from the context, one per file in slot order.
+func (ks *fileKeys) load(ctx *array.Context) []fileKey {
+	keys := (*ks)[:0]
+	for slot, f := range ctx.Files() {
+		keys = append(keys, fileKey{count: ctx.AccessCount(f.ID), rate: f.AccessRate, id: f.ID, slot: slot})
+	}
+	*ks = keys
+	return keys
+}
+
+// rank refills the keys and sorts them by popularity (see byPopularity).
+func (ks *fileKeys) rank(ctx *array.Context) []fileKey {
+	keys := ks.load(ctx)
+	slices.SortFunc(keys, byPopularity)
+	return keys
+}
+
+// byPopularity orders keys most popular first: by access count this epoch,
+// then by static access rate, then by ascending ID. File IDs are unique, so
+// the order is total and the result does not depend on the sort algorithm.
+func byPopularity(a, b fileKey) int {
+	if a.count != b.count {
+		return cmp.Compare(b.count, a.count)
+	}
+	if a.rate != b.rate {
+		if a.rate > b.rate {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
 
 // byLoadDesc returns the files ordered by static load hi = λi·si,
 // heaviest first, with ID tie-breaking for determinism.
@@ -56,9 +105,9 @@ func placeLeastLoaded(ctx *array.Context, files workload.FileSet, disks []int) e
 
 // placeRoundRobin assigns files (in the given order) cyclically over disks,
 // the paper's §4 assignment rule for both zones.
-func placeRoundRobin(ctx *array.Context, files workload.FileSet, disks []int) error {
+func placeRoundRobin(ctx *array.Context, files []fileKey, disks []int) error {
 	for i, f := range files {
-		if err := ctx.SetPlacement(f.ID, disks[i%len(disks)]); err != nil {
+		if err := ctx.SetPlacement(f.id, disks[i%len(disks)]); err != nil {
 			return err
 		}
 	}

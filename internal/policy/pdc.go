@@ -1,11 +1,8 @@
 package policy
 
 import (
-	"sort"
-
 	"repro/internal/array"
 	"repro/internal/diskmodel"
-	"repro/internal/workload"
 )
 
 // PDCConfig parameterizes the PDC policy.
@@ -53,6 +50,9 @@ func (c *PDCConfig) setDefaults() {
 type PDC struct {
 	cfg        PDCConfig
 	migrations int
+
+	keys   fileKeys // reused popularity ranking
+	target []int    // reused layout: disk per file slot
 }
 
 // NewPDC builds a PDC policy.
@@ -67,22 +67,30 @@ func (p *PDC) Name() string { return "pdc" }
 // MigrationsRequested returns the number of epoch migrations PDC issued.
 func (p *PDC) MigrationsRequested() int { return p.migrations }
 
-// layout computes the concentrated placement for files already sorted by
-// descending popularity. PDC is capacity-constrained: each disk receives an
-// equal byte share of the dataset, filled in popularity order, so disk 0
-// holds the hottest 1/n of the bytes (and with a skewed distribution, most
-// of the request mass). A load cap additionally spills traffic to the next
-// disk when one disk's expected service demand would saturate it (the
-// heavy-workload guard).
-func (p *PDC) layout(ctx *array.Context, sorted workload.FileSet) map[int]int {
+// layout computes the concentrated placement, indexed by file slot, for
+// files ranked by descending popularity. PDC is capacity-constrained: each
+// disk receives an equal byte share of the dataset, filled in popularity
+// order, so disk 0 holds the hottest 1/n of the bytes (and with a skewed
+// distribution, most of the request mass). A load cap additionally spills
+// traffic to the next disk when one disk's expected service demand would
+// saturate it (the heavy-workload guard).
+func (p *PDC) layout(ctx *array.Context, ranked []fileKey) []int {
+	files := ctx.Files()
 	params := ctx.DiskParams()
 	n := ctx.NumDisks()
-	byteBudget := sorted.TotalSizeMB() / float64(n)
+	var totalMB float64
+	for _, k := range ranked {
+		totalMB += files[k.slot].SizeMB
+	}
+	byteBudget := totalMB / float64(n)
 	loadCap := p.cfg.LoadFraction
-	out := make(map[int]int, len(sorted))
+	if len(p.target) != len(files) {
+		p.target = make([]int, len(files))
+	}
 	disk := 0
 	var usedMB, usedLoad float64
-	for _, f := range sorted {
+	for _, k := range ranked {
+		f := files[k.slot]
 		svc := params.ServiceTime(f.SizeMB, diskmodel.High)
 		load := f.AccessRate * svc
 		if disk < n-1 && usedMB > 0 &&
@@ -90,20 +98,19 @@ func (p *PDC) layout(ctx *array.Context, sorted workload.FileSet) map[int]int {
 			disk++
 			usedMB, usedLoad = 0, 0
 		}
-		out[f.ID] = disk
+		p.target[k.slot] = disk
 		usedMB += f.SizeMB
 		usedLoad += load
 	}
-	return out
+	return p.target
 }
 
-// Init places popularity-sorted files concentrated on the first disks.
+// Init places popularity-sorted files concentrated on the first disks. No
+// request has been seen yet, so the ranking is by static access rate.
 func (p *PDC) Init(ctx *array.Context) error {
-	sorted := ctx.Files().Clone()
-	sorted.SortByRateDescending()
-	layout := p.layout(ctx, sorted)
-	for _, id := range sortedKeys(layout) {
-		if err := ctx.SetPlacement(id, layout[id]); err != nil {
+	layout := p.layout(ctx, p.keys.rank(ctx))
+	for slot, f := range ctx.Files() {
+		if err := ctx.SetPlacement(f.ID, layout[slot]); err != nil {
 			return err
 		}
 	}
@@ -134,30 +141,19 @@ func (p *PDC) OnRequestComplete(*array.Context, int, int) {}
 // OnEpoch refreshes the popularity ranking from observed counts and
 // migrates files whose concentrated position changed.
 func (p *PDC) OnEpoch(ctx *array.Context) {
-	files := ctx.Files().Clone()
-	counts := ctx.AccessCounts()
-	// Blend observed counts with the static rate for files unseen this
+	// Observed counts rank first; the static rate orders files unseen this
 	// epoch, so quiet epochs do not randomize the tail.
-	sort.Slice(files, func(i, j int) bool {
-		ci, cj := counts[files[i].ID], counts[files[j].ID]
-		if ci != cj {
-			return ci > cj
-		}
-		if files[i].AccessRate != files[j].AccessRate {
-			return files[i].AccessRate > files[j].AccessRate
-		}
-		return files[i].ID < files[j].ID
-	})
-	target := p.layout(ctx, files)
+	ranked := p.keys.rank(ctx)
+	target := p.layout(ctx, ranked)
 	moved := 0
-	for _, f := range files {
+	for _, k := range ranked {
 		if moved >= p.cfg.MaxMigrationsPerEpoch {
 			break
 		}
-		want := target[f.ID]
-		if want != ctx.Placement(f.ID) && !ctx.Migrating(f.ID) {
+		want := target[k.slot]
+		if want != ctx.Placement(k.id) && !ctx.Migrating(k.id) {
 			ctx.SetDecisionCause("popularity")
-			if ctx.Migrate(f.ID, want) {
+			if ctx.Migrate(k.id, want) {
 				p.migrations++
 				moved++
 			}

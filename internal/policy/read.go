@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/array"
 	"repro/internal/diskmodel"
@@ -57,9 +58,18 @@ type READ struct {
 
 	theta    float64
 	hotCount int
-	popular  map[int]bool
+	// popular is each file's Eq. 4 class, indexed by file slot (the file's
+	// index in Context.Files()); next is the buffer an epoch reclassifies
+	// into before the two swap.
+	popular []bool
+	next    []bool
+	// restored holds the popular file IDs LoadState read, until the next
+	// epoch maps them to slots (LoadState has no Context).
+	restored []int
 	rrHot    int
 	rrCold   int
+
+	keys fileKeys // reused popularity ranking
 
 	migrations int
 }
@@ -82,33 +92,17 @@ func (r *READ) Theta() float64 { return r.theta }
 // MigrationsRequested returns the number of epoch migrations READ issued.
 func (r *READ) MigrationsRequested() int { return r.migrations }
 
-// classify splits the (already popularity-ordered, most popular first) files
-// into popular/unpopular per Eq. 4 and returns the per-class loads for
-// Eq. 5, using the paper's load definition hi = λi·si (§4: service time
-// proportional to size). The byte-weighted load keeps the hot zone compact
-// — popular web objects are small, so a small high-speed zone absorbs them
-// and the cold majority of disks stays parked at low speed; this is where
-// READ's energy savings come from. loadOf supplies each file's hi (static
-// rates at init, observed per-epoch rates afterwards).
-func classify(sorted workload.FileSet, theta float64, loadOf func(workload.File) float64) (popular map[int]bool, popLoad, unpopLoad float64) {
-	np, _, err := workload.PopularSplit(theta, len(sorted))
+// popularCount returns how many of n popularity-ordered files Eq. 4 puts in
+// the popular class.
+func popularCount(theta float64, n int) int {
+	np, _, err := workload.PopularSplit(theta, n)
 	if err != nil {
-		np = len(sorted) / 2
+		np = n / 2
 		if np == 0 {
 			np = 1
 		}
 	}
-	popular = make(map[int]bool, np)
-	for i, f := range sorted {
-		h := loadOf(f)
-		if i < np {
-			popular[f.ID] = true
-			popLoad += h
-		} else {
-			unpopLoad += h
-		}
-	}
-	return popular, popLoad, unpopLoad
+	return min(np, n)
 }
 
 // zoneSize derives the hot-disk count from the class loads (Eq. 5 +
@@ -130,17 +124,38 @@ func zoneSize(popLoad, unpopLoad float64, n int) int {
 
 // Init runs Figure 6 steps 1-7.
 func (r *READ) Init(ctx *array.Context) error {
-	files := ctx.Files().Clone()
-	// Original round: popularity proxied by size (smallest = hottest).
-	files.SortBySizeAscending()
+	files := ctx.Files()
+	// Original round: popularity proxied by size (smallest = hottest), ties
+	// broken by ID.
+	keys := r.keys.load(ctx)
+	slices.SortFunc(keys, func(a, b fileKey) int {
+		if sa, sb := files[a.slot].SizeMB, files[b.slot].SizeMB; sa != sb {
+			return cmp.Compare(sa, sb)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 
 	r.theta = r.cfg.Theta
 	if r.theta <= 0 || r.theta >= 1 {
 		r.theta = estimateTheta(files)
 	}
+	// Split into popular/unpopular per Eq. 4 and size the zones from the
+	// per-class loads (Eq. 5), using the paper's load definition hi = λi·si
+	// (§4: service time proportional to size). The byte-weighted load keeps
+	// the hot zone compact — popular web objects are small, so a small
+	// high-speed zone absorbs them and the cold majority of disks stays
+	// parked at low speed; this is where READ's energy savings come from.
+	np := popularCount(r.theta, len(keys))
+	r.popular = make([]bool, len(files))
 	var popLoad, unpopLoad float64
-	r.popular, popLoad, unpopLoad = classify(files, r.theta,
-		func(f workload.File) float64 { return f.Load() })
+	for i, k := range keys {
+		if i < np {
+			r.popular[k.slot] = true
+			popLoad += files[k.slot].Load()
+		} else {
+			unpopLoad += files[k.slot].Load()
+		}
+	}
 	n := ctx.NumDisks()
 	r.hotCount = zoneSize(popLoad, unpopLoad, n)
 
@@ -154,18 +169,10 @@ func (r *READ) Init(ctx *array.Context) error {
 	}
 
 	// Steps 5-7: round-robin placement per zone.
-	var pop, unpop workload.FileSet
-	for _, f := range files {
-		if r.popular[f.ID] {
-			pop = append(pop, f)
-		} else {
-			unpop = append(unpop, f)
-		}
-	}
-	if err := placeRoundRobin(ctx, pop, diskRange(0, r.hotCount)); err != nil {
+	if err := placeRoundRobin(ctx, keys[:np], diskRange(0, r.hotCount)); err != nil {
 		return err
 	}
-	if err := placeRoundRobin(ctx, unpop, diskRange(r.hotCount, n)); err != nil {
+	if err := placeRoundRobin(ctx, keys[np:], diskRange(r.hotCount, n)); err != nil {
 		return err
 	}
 
@@ -223,32 +230,65 @@ func (r *READ) OnIdleTimeout(ctx *array.Context, d int) {
 
 // OnEpoch runs Figure 6 steps 9-24.
 func (r *READ) OnEpoch(ctx *array.Context) {
-	files := ctx.Files().Clone()
-	counts := ctx.AccessCounts()
+	keys, newPopular := r.reclassify(ctx)
+	n := ctx.NumDisks()
 
-	// Step 10: re-sort by accesses during the current epoch.
-	sort.Slice(files, func(i, j int) bool {
-		ci, cj := counts[files[i].ID], counts[files[j].ID]
-		if ci != cj {
-			return ci > cj
+	// Steps 12-19: migrate reclassified files, round-robin per zone.
+	moved := 0
+	for _, k := range keys {
+		if moved >= r.cfg.MaxMigrationsPerEpoch {
+			break
 		}
-		if files[i].AccessRate != files[j].AccessRate {
-			return files[i].AccessRate > files[j].AccessRate
+		wasPopular := r.popular[k.slot]
+		isPopular := newPopular[k.slot]
+		cur := ctx.Placement(k.id)
+		switch {
+		case wasPopular && !isPopular && cur < r.hotCount:
+			target := r.hotCount + r.rrCold%(n-r.hotCount)
+			r.rrCold++
+			ctx.SetDecisionCause("popularity")
+			if ctx.Migrate(k.id, target) {
+				r.migrations++
+				moved++
+			}
+		case !wasPopular && isPopular && cur >= r.hotCount:
+			target := r.rrHot % r.hotCount
+			r.rrHot++
+			ctx.SetDecisionCause("popularity")
+			if ctx.Migrate(k.id, target) {
+				r.migrations++
+				moved++
+			}
 		}
-		return files[i].ID < files[j].ID
-	})
-
-	// Step 11: re-calculate θ and re-categorize. A sparse epoch window
-	// (fewer observations than files) cannot support a skew estimate —
-	// zero-count files would masquerade as extreme skew — so θ is only
-	// refreshed from a reasonably dense window.
-	countVec := make([]int, len(files))
-	total := 0
-	for i, f := range files {
-		countVec[i] = counts[f.ID]
-		total += counts[f.ID]
 	}
-	if total >= len(files) {
+	r.popular, r.next = newPopular, r.popular
+
+	if !r.cfg.DisableAdaptiveThreshold {
+		r.adaptThresholds(ctx)
+	}
+}
+
+// reclassify runs Figure 6 steps 10-11: it re-ranks the files by accesses
+// during the current epoch and re-categorizes them with a refreshed θ. It
+// returns the ranking and the new slot-indexed popular set, which the
+// caller compares against r.popular and then adopts.
+func (r *READ) reclassify(ctx *array.Context) ([]fileKey, []bool) {
+	keys := r.keys.rank(ctx)
+	if r.popular == nil {
+		r.popular = r.restoredPopular(keys)
+	}
+
+	// Step 11: re-calculate θ. A sparse epoch window (fewer observations
+	// than files) cannot support a skew estimate — zero-count files would
+	// masquerade as extreme skew — so θ is only refreshed from a reasonably
+	// dense window.
+	countVec := make([]int, len(keys))
+	total := 0
+	for i, k := range keys {
+		countVec[i] = k.count
+		total += k.count
+	}
+	if total >= len(keys) {
 		if th, err := workload.MeasureTheta(countVec); err == nil && th > 0 && th < 1 {
 			r.theta = th
 		}
@@ -259,46 +299,31 @@ func (r *READ) OnEpoch(ctx *array.Context) {
 	// epoch window cannot support Eq. 5 anyway, because the unpopular
 	// class's observed load is near zero by construction (they are
 	// unpopular precisely because the window barely touched them).
-	newPopular, _, _ := classify(files, r.theta,
-		func(f workload.File) float64 { return float64(counts[f.ID]) * f.SizeMB })
-	n := ctx.NumDisks()
-
-	// Steps 12-19: migrate reclassified files, round-robin per zone.
-	moved := 0
-	for _, f := range files {
-		if moved >= r.cfg.MaxMigrationsPerEpoch {
-			break
-		}
-		wasPopular := r.popular[f.ID]
-		isPopular := newPopular[f.ID]
-		cur := ctx.Placement(f.ID)
-		switch {
-		case wasPopular && !isPopular && cur < r.hotCount:
-			target := r.hotCount + r.rrCold%(n-r.hotCount)
-			r.rrCold++
-			ctx.SetDecisionCause("popularity")
-			if ctx.Migrate(f.ID, target) {
-				r.migrations++
-				moved++
-			}
-		case !wasPopular && isPopular && cur >= r.hotCount:
-			target := r.rrHot % r.hotCount
-			r.rrHot++
-			ctx.SetDecisionCause("popularity")
-			if ctx.Migrate(f.ID, target) {
-				r.migrations++
-				moved++
-			}
-		}
+	if len(r.next) != len(keys) {
+		r.next = make([]bool, len(keys))
 	}
-	r.popular = newPopular
-
-	// Steps 20-24: adaptive idleness threshold. Once a disk has spent half
-	// its budget, double its H to slow future transitions.
-	if r.cfg.DisableAdaptiveThreshold {
-		return
+	np := popularCount(r.theta, len(keys))
+	for i, k := range keys {
+		r.next[k.slot] = i < np
 	}
-	for d := 0; d < n; d++ {
+	return keys, r.next
+}
+
+// restoredPopular maps the popular IDs LoadState read onto file slots.
+func (r *READ) restoredPopular(keys []fileKey) []bool {
+	popular := make([]bool, len(keys))
+	for _, k := range keys {
+		_, popular[k.slot] = slices.BinarySearch(r.restored, k.id)
+	}
+	r.restored = nil
+	return popular
+}
+
+// adaptThresholds runs Figure 6 steps 20-24: once a disk has spent half
+// its transition budget, its idleness threshold H doubles (up to the cap)
+// to slow future transitions.
+func (r *READ) adaptThresholds(ctx *array.Context) {
+	for d := 0; d < ctx.NumDisks(); d++ {
 		if 2*ctx.DiskTransitions(d) >= r.budget(ctx) {
 			h := ctx.IdleTimeout(d) * 2
 			if h > r.cfg.MaxIdleThreshold {

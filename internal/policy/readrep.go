@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"sort"
-
 	"repro/internal/array"
 	"repro/internal/workload"
 )
@@ -87,69 +85,36 @@ func (r *READReplica) TargetDisk(ctx *array.Context, fileID int) int {
 // by dropping replicas. Files whose primary already sits in the hot zone
 // are left to the base policy's bookkeeping.
 func (r *READReplica) OnEpoch(ctx *array.Context) {
-	files := ctx.Files().Clone()
-	counts := ctx.AccessCounts()
-	sort.Slice(files, func(i, j int) bool {
-		ci, cj := counts[files[i].ID], counts[files[j].ID]
-		if ci != cj {
-			return ci > cj
-		}
-		if files[i].AccessRate != files[j].AccessRate {
-			return files[i].AccessRate > files[j].AccessRate
-		}
-		return files[i].ID < files[j].ID
-	})
-
-	countVec := make([]int, len(files))
-	total := 0
-	for i, f := range files {
-		countVec[i] = counts[f.ID]
-		total += counts[f.ID]
-	}
-	if total >= len(files) {
-		if th, err := workload.MeasureTheta(countVec); err == nil && th > 0 && th < 1 {
-			r.theta = th
-		}
-	}
-	newPopular, _, _ := classify(files, r.theta,
-		func(f workload.File) float64 { return float64(counts[f.ID]) * f.SizeMB })
-
+	files := ctx.Files()
+	keys, newPopular := r.reclassify(ctx)
 	hot := r.HotDisks()
 	promoted := 0
-	for _, f := range files {
-		id := f.ID
+	for _, k := range keys {
+		id := k.id
 		primary := ctx.Placement(id)
 		_, hasReplica := r.replica[id]
 		_, inflight := r.copying[id]
-		isPopular := newPopular[id]
+		isPopular := newPopular[k.slot]
 		switch {
 		case isPopular && primary >= hot && !hasReplica && !inflight:
 			if promoted >= r.cfg.READ.MaxMigrationsPerEpoch {
 				continue
 			}
-			r.promote(ctx, f, hot)
+			r.promote(ctx, files[k.slot], hot)
 			promoted++
 		case !isPopular && hasReplica:
 			// Cooled off: drop the replica, primary still lives in the
 			// cold zone. No transfer needed.
 			d := r.replica[id]
 			delete(r.replica, id)
-			r.replMB[d] -= f.SizeMB
+			r.replMB[d] -= files[k.slot].SizeMB
 			r.replicasDropped++
 		}
 	}
-	r.popular = newPopular
+	r.popular, r.next = newPopular, r.popular
 
 	// Base policy's adaptive threshold maintenance (Figure 6 steps 20-24).
-	for d := 0; d < ctx.NumDisks(); d++ {
-		if 2*ctx.DiskTransitions(d) >= r.budget(ctx) {
-			h := ctx.IdleTimeout(d) * 2
-			if h > r.cfg.READ.MaxIdleThreshold {
-				h = r.cfg.READ.MaxIdleThreshold
-			}
-			ctx.SetIdleTimeout(d, h)
-		}
-	}
+	r.adaptThresholds(ctx)
 }
 
 // promote copies the file onto the least replica-loaded hot disk.

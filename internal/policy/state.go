@@ -37,17 +37,27 @@ func (r *READ) saveState() readState {
 		RRCold:     r.rrCold,
 		Migrations: r.migrations,
 	}
-	st.Popular = sortedKeys(r.popular)
+	if r.popular == nil {
+		st.Popular = r.restored // no epoch has run since LoadState
+		return st
+	}
+	for _, k := range r.keys {
+		if r.popular[k.slot] {
+			st.Popular = append(st.Popular, k.id)
+		}
+	}
+	sort.Ints(st.Popular)
 	return st
 }
 
 func (r *READ) loadState(st readState) {
 	r.theta = st.Theta
 	r.hotCount = st.HotCount
-	r.popular = make(map[int]bool, len(st.Popular))
-	for _, id := range st.Popular {
-		r.popular[id] = true
-	}
+	// The popular set is slot-indexed; it is rebuilt from these IDs by the
+	// next epoch, the first hook with a Context to map them.
+	r.popular = nil
+	r.restored = append([]int(nil), st.Popular...)
+	sort.Ints(r.restored)
 	r.rrHot = st.RRHot
 	r.rrCold = st.RRCold
 	r.migrations = st.Migrations

@@ -92,7 +92,7 @@ func TestChromeTracerEmitsValidTrace(t *testing.T) {
 	tr := NewChromeTracer(&buf, 1, 0)
 	tr.EventScheduled(1, "arrival", 2.5, 0)
 	tr.EventFired(1, "arrival", 2.5, 1800)
-	tr.EventCanceled(7, "idle-timer", 3)
+	tr.Span("request", 3, 3.5)
 	tr.EventFired(2, "", 4, 100) // empty label falls back to "event"
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestChromeTracerEmitsValidTrace(t *testing.T) {
 	for _, r := range records {
 		byPhase[r["ph"].(string)]++
 	}
-	if byPhase["X"] != 2 || byPhase["i"] != 2 {
-		t.Fatalf("phases = %v, want 2 X and 2 i", byPhase)
+	if byPhase["X"] != 3 || byPhase["i"] != 1 {
+		t.Fatalf("phases = %v, want 3 X and 1 i", byPhase)
 	}
 
 	var fired map[string]any
@@ -167,7 +167,7 @@ func TestChromeTracerNilAndClosed(t *testing.T) {
 	var tr *ChromeTracer
 	tr.EventFired(1, "x", 0, 0)
 	tr.EventScheduled(1, "x", 0, 0)
-	tr.EventCanceled(1, "x", 0)
+	tr.Span("x", 0, 0)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
